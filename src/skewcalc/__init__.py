@@ -23,10 +23,12 @@ from .bases import (
     PolyDerivation,
     ScaleAut,
     ShiftAut,
+    SparseElement,
     UnsupportedAutomorphism,
     entire_seminorm,
     free_seminorm,
     generic_twisted_upper_bound,
+    i_w_apply,
     interval_seminorm,
 )
 from .ore import (
@@ -40,7 +42,6 @@ from .ore import (
 from .tensor import (
     TwistedSeries,
     embed_ore,
-    i_w_apply,
     mul,
     single_variable_norm,
     twisted_norm,

@@ -1,13 +1,16 @@
 """Concrete seminormed base algebras with automorphism actions.
 
-Three element types are provided:
+Elements of every base are one type, :class:`SparseElement`: a finitely
+supported map from keys to nonzero exact scalars, with one implementation
+of the ring arithmetic.  It comes in three kinds, each fixing its scalar
+field and its key type:
 
-* :class:`EntirePoly` — polynomials in one variable z with Gaussian-rational
-  coefficients, seminorm sum(|c_m| rho^m);
-* :class:`IntervalPoly` — real polynomials with rational coefficients,
-  seminorm sup over a closed interval [-n, n];
-* :class:`FreeSeries` — finitely supported series over free generators,
-  seminorm sum(|a_v| rho^{|v|}).
+* :class:`EntirePoly` — polynomials in one variable z (non-negative int
+  degrees) with Gaussian-rational coefficients, seminorm sum(|c_m| rho^m);
+* :class:`IntervalPoly` — real polynomials (non-negative int degrees) with
+  rational coefficients, seminorm sup over a closed interval [-n, n];
+* :class:`FreeSeries` — finitely supported series over free generators
+  (keys are tuples of generator indices), seminorm sum(|a_v| rho^{|v|}).
 
 A :class:`BaseSpec` bundles an element kind with an automorphism and
 exposes seminorms and per-word twisted seminorms.  Closed forms (exact)
@@ -51,82 +54,97 @@ class MismatchedBaseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _clean(coeffs: dict):
-    return {k: v for k, v in coeffs.items() if v}
-
-
 @dataclass(frozen=True)
-class EntirePoly:
-    """Polynomial in z with exact Gaussian-rational coefficients."""
+class SparseElement:
+    """A finitely supported map from keys to nonzero exact scalars.
+
+    Each kind declares its scalar field (``_scalar`` coerces one
+    coefficient) and its key type (``_key``).  Keys form a monoid under
+    ``+`` whose unit is ``_key()``: int degrees add and tuples of generator
+    indices concatenate, so one product loop serves every kind.  Elements
+    of different kinds never compare equal.
+    """
 
     coeffs: dict = field(default_factory=dict)
 
+    _scalar = staticmethod(GaussianRational.of)
+    _key = int
+
     def __post_init__(self):
-        cleaned = {
-            int(m): GaussianRational.of(c)
-            for m, c in self.coeffs.items()
-            if GaussianRational.of(c)
-        }
-        if any(m < 0 for m in cleaned):
-            raise ValueError("negative degrees are not allowed")
+        scalar, key = self._scalar, self._key
+        cleaned = {}
+        for k, c in self.coeffs.items():
+            c = scalar(c)
+            if c:
+                cleaned[key(k)] = c
         object.__setattr__(self, "coeffs", cleaned)
 
-    @staticmethod
-    def monomial(c, m: int = 0) -> "EntirePoly":
-        return EntirePoly({m: GaussianRational.of(c)})
+    @classmethod
+    def monomial(cls, c, key=None):
+        return cls({cls._key() if key is None else key: c})
 
-    @staticmethod
-    def zero() -> "EntirePoly":
-        return EntirePoly({})
+    @classmethod
+    def zero(cls):
+        return cls({})
 
-    @staticmethod
-    def one() -> "EntirePoly":
-        return EntirePoly({0: 1})
+    @classmethod
+    def one(cls):
+        return cls({cls._key(): 1})
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, GaussianRational()) + c
-        return EntirePoly(out)
+        for k, c in other.coeffs.items():
+            out[k] = out[k] + c if k in out else c
+        return type(self)(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return EntirePoly({m: -c for m, c in self.coeffs.items()})
+        return type(self)({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, EntirePoly):
-            out: dict = {}
-            for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    key = m1 + m2
-                    out[key] = out.get(key, GaussianRational()) + c1 * c2
-            return EntirePoly(out)
-        return self.scale(other)
+        if type(other) is not type(self):
+            return self.scale(other)
+        out: dict = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                k = k1 + k2
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
+        return type(self)(out)
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "EntirePoly":
-        c = GaussianRational.of(c)
-        return EntirePoly({m: c * v for m, v in self.coeffs.items()})
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
+    def scale(self, c):
+        c = self._scalar(c)
+        return type(self)({k: c * v for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __eq__(self, other):
-        return isinstance(other, EntirePoly) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def derivative(self) -> "EntirePoly":
-        return EntirePoly({m - 1: c * m for m, c in self.coeffs.items() if m > 0})
 
-    def shift_argument(self, s: Fraction) -> "EntirePoly":
+class _Polynomial(SparseElement):
+    """Integer-keyed kinds: polynomials in z with non-negative degrees."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.coeffs and min(self.coeffs) < 0:
+            raise ValueError("negative degrees are not allowed")
+
+    def degree(self) -> int:
+        return max(self.coeffs, default=0)
+
+    def derivative(self):
+        return type(self)({m - 1: c * m for m, c in self.coeffs.items() if m > 0})
+
+    def shift_argument(self, s: Fraction):
         """Exact substitution z -> z - s via binomial expansion."""
         s = Fraction(s)
         out: dict = {}
@@ -134,162 +152,34 @@ class EntirePoly:
             # (z - s)^m
             for j in range(m + 1):
                 coeff = c * (math.comb(m, j) * (-s) ** (m - j))
-                out[j] = out.get(j, GaussianRational()) + coeff
-        return EntirePoly(out)
+                out[j] = out[j] + coeff if j in out else coeff
+        return type(self)(out)
 
 
-@dataclass(frozen=True)
-class IntervalPoly:
+class EntirePoly(_Polynomial):
+    """Polynomial in z with exact Gaussian-rational coefficients."""
+
+
+class IntervalPoly(_Polynomial):
     """Real polynomial with exact rational coefficients."""
 
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        cleaned = {int(m): Fraction(c) for m, c in self.coeffs.items() if Fraction(c)}
-        if any(m < 0 for m in cleaned):
-            raise ValueError("negative degrees are not allowed")
-        object.__setattr__(self, "coeffs", cleaned)
-
-    @staticmethod
-    def monomial(c, m: int = 0) -> "IntervalPoly":
-        return IntervalPoly({m: Fraction(c)})
-
-    @staticmethod
-    def zero() -> "IntervalPoly":
-        return IntervalPoly({})
-
-    @staticmethod
-    def one() -> "IntervalPoly":
-        return IntervalPoly({0: 1})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return IntervalPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return IntervalPoly({m: -c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, IntervalPoly):
-            out: dict = {}
-            for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    out[m1 + m2] = out.get(m1 + m2, Fraction(0)) + c1 * c2
-            return IntervalPoly(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "IntervalPoly":
-        c = Fraction(c)
-        return IntervalPoly({m: c * v for m, v in self.coeffs.items()})
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, IntervalPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+    _scalar = Fraction
 
     def evaluate(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        deg = self.degree()
-        for m in range(deg, -1, -1):
-            acc = acc * x + self.coeffs.get(m, Fraction(0))
-        return acc
-
-    def derivative(self) -> "IntervalPoly":
-        return IntervalPoly({m - 1: c * m for m, c in self.coeffs.items() if m > 0})
-
-    def shift_argument(self, s: Fraction) -> "IntervalPoly":
-        s = Fraction(s)
-        out: dict = {}
-        for m, c in self.coeffs.items():
-            for j in range(m + 1):
-                out[j] = out.get(j, Fraction(0)) + c * math.comb(m, j) * (-s) ** (m - j)
-        return IntervalPoly(out)
+        return _poly_eval(_dense(self), Fraction(x))
 
 
-@dataclass(frozen=True)
-class FreeSeries:
+class FreeSeries(SparseElement):
     """Finitely supported series over free generators g1..gn.
 
     Keys are tuples of generator indices (0-based); the empty tuple is
     the constant term.
     """
 
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        cleaned = {
-            tuple(v): GaussianRational.of(c)
-            for v, c in self.coeffs.items()
-            if GaussianRational.of(c)
-        }
-        object.__setattr__(self, "coeffs", cleaned)
-
-    @staticmethod
-    def monomial(c, v: tuple = ()) -> "FreeSeries":
-        return FreeSeries({tuple(v): GaussianRational.of(c)})
-
-    @staticmethod
-    def zero() -> "FreeSeries":
-        return FreeSeries({})
-
-    @staticmethod
-    def one() -> "FreeSeries":
-        return FreeSeries({(): 1})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            out[v] = out.get(v, GaussianRational()) + c
-        return FreeSeries(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FreeSeries({v: -c for v, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, FreeSeries):
-            out: dict = {}
-            for v1, c1 in self.coeffs.items():
-                for v2, c2 in other.coeffs.items():
-                    key = v1 + v2
-                    out[key] = out.get(key, GaussianRational()) + c1 * c2
-            return FreeSeries(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "FreeSeries":
-        c = GaussianRational.of(c)
-        return FreeSeries({v: c * val for v, val in self.coeffs.items()})
+    _key = tuple
 
     def degree(self) -> int:
         return max((len(v) for v in self.coeffs), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, FreeSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +217,7 @@ class ScaleAut:
     def apply(self, el: EntirePoly, k: int) -> EntirePoly:
         if k == 0:
             return el
-        return EntirePoly({m: (self.q ** (k * m)) * c for m, c in el.coeffs.items()})
+        return type(el)({m: (self.q ** (k * m)) * c for m, c in el.coeffs.items()})
 
     def inverse(self) -> "ScaleAut":
         return ScaleAut(self.q.inverse())
@@ -386,7 +276,7 @@ class DiagonalAut:
             for i in v:
                 factor = factor * (self.qs[i] ** k)
             out[v] = factor * c
-        return FreeSeries(out)
+        return type(el)(out)
 
     def inverse(self) -> "DiagonalAut":
         return DiagonalAut(tuple(q.inverse() for q in self.qs))
@@ -428,50 +318,36 @@ def _poly_deriv(dense: list) -> list:
     return [c * m for m, c in enumerate(dense)][1:]
 
 
-def _poly_rem(a: list, b: list) -> list:
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Dense quotient and remainder of a by b; b's leading coefficient is nonzero.
+
+    The remainder carries no trailing zeros, so the zero remainder is [].
+    """
+    quotient = [Fraction(0)] * (len(a) - len(b) + 1)
     a = list(a)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
+    while a and a[-1] == 0:
+        a.pop()
+    while len(a) >= len(b):
         factor = a[-1] / b[-1]
         shift = len(a) - len(b)
+        quotient[shift] = factor
         for i, c in enumerate(b):
             a[shift + i] -= factor * c
         while a and a[-1] == 0:
             a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    return quotient, a
 
 
 def _poly_gcd(a: list, b: list) -> list:
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return a
-
-
-def _poly_div_exact(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    a = list(a)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        out[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        while a and a[-1] == 0:
-            a.pop()
-    return out
 
 
 def _sturm_chain(dense: list) -> list:
     chain = [dense, _poly_deriv(dense)]
     while chain[-1]:
-        rem = _poly_rem(chain[-2], chain[-1])
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append([-c for c in rem])
@@ -494,7 +370,7 @@ def _isolate_real_roots(dense: list, lo: Fraction, hi: Fraction) -> list:
     # squarefree part for Sturm
     g = _poly_gcd(dense, _poly_deriv(dense))
     if len(g) > 1:
-        dense = _poly_div_exact(dense, g)
+        dense = _poly_divmod(dense, g)[0]
     chain = _sturm_chain(dense)
 
     def nroots(a: Fraction, b: Fraction) -> int:

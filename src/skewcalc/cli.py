@@ -63,23 +63,6 @@ def _build_config(values: dict) -> SessionConfig:
     if base not in ("entire", "interval", "free"):
         raise ConfigError(f"unknown base {base!r}")
 
-    aut_name = values.get("automorphism", "scale" if base == "entire" else "shift")
-    if base == "free" and "automorphism" not in values:
-        aut_name = "diagonal"
-    if aut_name == "identity":
-        aut = IdentityAut()
-    elif aut_name == "shift":
-        aut = ShiftAut()
-    elif aut_name == "scale":
-        aut = ScaleAut(parse_scalar(values.get("q", "2")))
-    elif aut_name == "diagonal":
-        qs = [parse_scalar(part) for part in values.get("q", "2, 1/2").split(",")]
-        if len(qs) != ngens:
-            raise ConfigError("diagonal needs one factor per generator")
-        aut = DiagonalAut(tuple(qs))
-    else:
-        raise ConfigError(f"unknown automorphism {aut_name!r}")
-
     derivation = values.get("derivation", "none")
     if derivation == "none":
         delta = None
@@ -90,14 +73,32 @@ def _build_config(values: dict) -> SessionConfig:
     else:
         raise ConfigError(f"unknown derivation {derivation!r}")
 
+    aut_name = values.get("automorphism", "scale" if base == "entire" else "shift")
+    if base == "free" and "automorphism" not in values:
+        aut_name = "diagonal"
+    # malformed values (a zero or unparsable q, a non-integer cap, an
+    # automorphism the base does not support) are configuration errors
     try:
+        if aut_name == "identity":
+            aut = IdentityAut()
+        elif aut_name == "shift":
+            aut = ShiftAut()
+        elif aut_name == "scale":
+            aut = ScaleAut(parse_scalar(values.get("q", "2")))
+        elif aut_name == "diagonal":
+            qs = [parse_scalar(part) for part in values.get("q", "2, 1/2").split(",")]
+            if len(qs) != ngens:
+                raise ConfigError("diagonal needs one factor per generator")
+            aut = DiagonalAut(tuple(qs))
+        else:
+            raise ConfigError(f"unknown automorphism {aut_name!r}")
         spec = BaseSpec(base, aut, ngens)
-    except UnsupportedAutomorphism as exc:
-        raise ConfigError(str(exc))
-    caps = {
-        "max_word_len": int(values.get("L", 16)),
-        "max_degree": int(values.get("D", 32)),
-    }
+        caps = {
+            "max_word_len": int(values.get("L", 16)),
+            "max_degree": int(values.get("D", 32)),
+        }
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(str(exc)) from exc
     fmt = values.get("format", "text")
     if fmt not in ("text", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -271,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--m", type=int)
     parser.add_argument("--n", type=int)
     parser.add_argument("--r")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--paper-display", action="store_true")
     parser.add_argument("--format", choices=["text", "csv"], default="text")
     return parser

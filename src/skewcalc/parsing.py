@@ -50,7 +50,11 @@ def _tokenize(source: str):
         if match.lastgroup == "number":
             text = match.group("number")
             imag = text.endswith("i")
-            value = Fraction(text[:-1] if imag else text)
+            try:
+                value = Fraction(text[:-1] if imag else text)
+            except ZeroDivisionError:
+                message = f"zero denominator in {text!r}"
+                raise ParseError(message, 1, match.start("number") + 1) from None
             tokens.append(("imag" if imag else "number", value, match.start()))
         elif match.lastgroup == "ident":
             tokens.append(("ident", match.group("ident"), match.start()))
@@ -289,16 +293,6 @@ def parse_scalar(text: str) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 
-def format_scalar(c) -> str:
-    c = GaussianRational.of(c)
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        return f"{c.im}i"
-    sign = "+" if c.im > 0 else "-"
-    return f"{c.re}{sign}{abs(c.im)}i"
-
-
 def format_base(el, kind: str) -> str:
     """Canonical text form of a base element, e.g. '3/2*z^2 - z + 1'."""
     if el.is_zero():
@@ -317,14 +311,14 @@ def format_base(el, kind: str) -> str:
     for coeff, var in parts:
         coeff = GaussianRational.of(coeff)
         if coeff.im != 0:
-            text = f"({format_scalar(coeff)})"
+            text = f"({coeff})"
             sign = "+"
         elif coeff.re < 0:
             sign = "-"
-            text = format_scalar(-coeff)
+            text = str(-coeff)
         else:
             sign = "+"
-            text = format_scalar(coeff)
+            text = str(coeff)
         if var:
             body = var if text == "1" else f"{text}*{var}"
         else:

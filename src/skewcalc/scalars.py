@@ -98,7 +98,3 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))

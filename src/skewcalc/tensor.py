@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .bases import BaseSpec, Exactness, MismatchedBaseError, i_w_apply as _i_w_apply
+from .bases import BaseSpec, Exactness, MismatchedBaseError
 from .words import Word, check_word, winding
 
 DEFAULT_MAX_WORD_LEN = 24
@@ -125,11 +125,6 @@ def mul(f: TwistedSeries, g: TwistedSeries) -> TwistedSeries:
                 continue
             out[w] = out[w] + term if w in out else term
     return replace(f, terms=out, truncated=truncated)
-
-
-def i_w_apply(spec: BaseSpec, w: Word, factors):
-    """Slot product x_1 * prod_{i>=2} alpha^{p(w,i-1)}(x_i)."""
-    return _i_w_apply(spec, w, factors)
 
 
 def twisted_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:

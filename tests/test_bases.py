@@ -49,6 +49,10 @@ def test_entire_poly_arithmetic_is_exact():
     assert f.degree() == 2
     with pytest.raises(ValueError):
         EntirePoly({-1: 1})
+    with pytest.raises(ValueError):
+        IntervalPoly({-1: 1})
+    # the kinds share one element type but never compare equal
+    assert EntirePoly({0: 1}) != IntervalPoly({0: 1})
 
 
 def test_interval_poly_evaluate():
@@ -57,11 +61,22 @@ def test_interval_poly_evaluate():
     assert f.derivative() == IntervalPoly({1: 2})
 
 
+def test_interval_poly_keeps_rational_coefficients():
+    # the Sturm code does Fraction arithmetic on these coefficients
+    f = IntervalPoly({2: Fraction(1, 3), 0: -1})
+    g = IntervalPoly({1: 2})
+    for result in (f + g, f * g, f.scale(Fraction(3, 2)), f.derivative(),
+                   f.shift_argument(Fraction(1, 2))):
+        assert result.coeffs
+        assert all(type(c) is Fraction for c in result.coeffs.values())
+
+
 def test_free_series_concatenation():
     a = FreeSeries({(0,): 1})
     b = FreeSeries({(1,): 2})
     assert (a * b).coeffs == {(0, 1): GaussianRational.of(2)}
     assert (b * a).coeffs == {(1, 0): GaussianRational.of(2)}
+    assert FreeSeries({(0, 1): 1}).degree() == 2
 
 
 def test_shift_argument_is_substitution():

@@ -162,6 +162,12 @@ def test_config_error_exit_code(capsys, tmp_path):
     worse.write_text("base = lattice\n")
     code, _, err = run(capsys, ["--config", str(worse), "qnorm", "z*x1"])
     assert code == 2
+    for text in ("q = 0\n", "q = 1/0\n", "D = abc\n"):
+        malformed = tmp_path / "malformed.cfg"
+        malformed.write_text(text)
+        code, _, err = run(capsys, ["--config", str(malformed), "qnorm", "z*x1"])
+        assert code == 2
+        assert "config error" in err
 
 
 def test_missing_config_file_exit_code(capsys, tmp_path):

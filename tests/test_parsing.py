@@ -80,6 +80,8 @@ def test_parse_errors(scale2_spec, interval_shift_spec):
         parse_expr("z*(x1", scale2_spec, CAPS)  # unbalanced parenthesis
     with pytest.raises(ParseError):
         parse_expr("z x1 +", scale2_spec, CAPS)  # dangling operator
+    with pytest.raises(ParseError):
+        parse_expr("3/0*x1", scale2_spec, CAPS)  # zero denominator
 
 
 def test_parse_scalar_literals():
