@@ -171,12 +171,11 @@ def run_command(args, config: SessionConfig, out=None) -> int:
             print("warning: terms beyond the caps were dropped", file=sys.stderr)
     elif cmd == "norm":
         parsed = _parse(args.exprs[0], config)
-        lam, rho = args.lam, args.rho
         if isinstance(parsed, TwistedSeries):
-            value, exactness = twisted_norm(parsed, lam, float(rho))
+            value, exactness = twisted_norm(parsed, args.lam, float(args.rho))
             print(f"{_fmt_value(value)} ({exactness.value})", file=out)
         else:
-            value = laurent_series_norm(parsed, lam, float(rho))
+            value = laurent_series_norm(parsed, args.lam, float(args.rho))
             print(_fmt_value(value), file=out)
     elif cmd == "qnorm":
         series = _require_series(_parse(args.exprs[0], config), "qnorm")
@@ -207,7 +206,7 @@ def run_command(args, config: SessionConfig, out=None) -> int:
         series = _require_series(_parse(args.exprs[0], config), "to-ore")
         print(format_element(reduce_to_ore(series)), file=out)
     elif cmd == "localizability":
-        lams = _grid(args.lambda_grid, [args.lam if args.lam is not None else 1])
+        lams = _grid(args.lambda_grid, [args.lam])
         reports = localizability_probe(config.spec, lams, args.depth or 8)
         for report in reports:
             fwd, bwd = report.forward, report.backward
@@ -225,8 +224,8 @@ def run_command(args, config: SessionConfig, out=None) -> int:
                 )
     elif cmd == "vanishing":
         r = _base_element(args.r if args.r is not None else "1", config)
-        lams = _grid(args.lambda_grid, [args.lam if args.lam is not None else 1])
-        rhos = _grid(args.rho_grid, [args.rho if args.rho is not None else 1])
+        lams = _grid(args.lambda_grid, [args.lam])
+        rhos = _grid(args.rho_grid, [args.rho])
         report = vanishing_test(config.spec, r, lams, rhos, args.depth or 12)
         if config.fmt == "csv" or args.format == "csv":
             out.write(report.to_csv())
@@ -237,8 +236,8 @@ def run_command(args, config: SessionConfig, out=None) -> int:
                       " closed ideal follows", file=out)
     elif cmd == "table":
         parsed = _parse(args.exprs[0], config)
-        lams = _grid(args.lambda_grid, [args.lam if args.lam is not None else 1])
-        rhos = _grid(args.rho_grid, [args.rho if args.rho is not None else 1])
+        lams = _grid(args.lambda_grid, [args.lam])
+        rhos = _grid(args.rho_grid, [args.rho])
         print("lambda,rho,value,exactness", file=out)
         for lam in sorted(lams, key=float):
             for rho in sorted(rhos, key=float):
@@ -264,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "to-ore", "localizability", "vanishing", "table",
     ])
     parser.add_argument("exprs", nargs="*")
-    parser.add_argument("--lambda", dest="lam", type=Fraction, default=None)
-    parser.add_argument("--rho", type=Fraction, default=None)
+    parser.add_argument("--lambda", dest="lam", type=Fraction, default=Fraction(1))
+    parser.add_argument("--rho", type=Fraction, default=Fraction(1))
     parser.add_argument("--lambda-grid", dest="lambda_grid")
     parser.add_argument("--rho-grid", dest="rho_grid")
     parser.add_argument("--depth", type=int)
@@ -284,10 +283,6 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.lam is None:
-        args.lam = Fraction(1)
-    if args.rho is None:
-        args.rho = Fraction(1)
     try:
         return run_command(args, config)
     except ParseError as exc:

@@ -9,7 +9,7 @@ slice of the relator ideal.  Both only ever certify upper bounds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bases import BaseSpec, generic_twisted_upper_bound, i_w_apply

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bases import BaseSpec
-from .ore import LaurentOrePoly
+from .ore import DerivationSupportError, LaurentOrePoly
 from .scalars import GaussianRational
 from .tensor import TwistedSeries
 from .words import Word
@@ -45,7 +45,8 @@ def _tokenize(source: str):
             stripped = source[pos:].lstrip()
             if not stripped:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}", 1, pos + 1)
+            column = len(source) - len(stripped) + 1
+            raise ParseError(f"unexpected character {stripped[0]!r}", 1, column)
         pos = match.end()
         if match.lastgroup == "number":
             text = match.group("number")
@@ -121,14 +122,11 @@ class _Parser:
                 return value
 
     def power(self):
-        kind, text, _ = self.peek()
-        base_token = self.peek()
         value = self.atom()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            exponent = self.exponent()
-            value = self.ring.power(value, exponent, base_token)
+            value = self.ring.power(value, self.exponent())
         return value
 
     def exponent(self) -> int:
@@ -169,10 +167,18 @@ class _Parser:
         self.error(f"unexpected token {text!r}")
 
 
-class _SeriesRing:
-    def __init__(self, spec: BaseSpec, caps: dict):
+class _Ring:
+    """The ring an expression evaluates in: twisted series or the Ore picture.
+
+    ``make(a, key)`` is the element with the single coefficient a at key,
+    ``unit`` is the key of 1 and ``gens`` maps generator names to keys.
+    """
+
+    def __init__(self, spec: BaseSpec, make, unit, gens: dict):
         self.spec = spec
-        self.caps = caps
+        self.make = make
+        self.unit = unit
+        self.gens = gens
 
     def scalar(self, c: GaussianRational):
         if self.spec.kind == "interval":
@@ -182,13 +188,13 @@ class _SeriesRing:
         else:
             key = 0 if self.spec.kind != "free" else ()
             coeff = self.spec.monomial(c, key)
-        return TwistedSeries.term(self.spec, coeff, (), **self.caps)
+        return self.make(coeff, self.unit)
 
     def atom(self, name: str):
-        if name in ("x1", "x2"):
-            return TwistedSeries.generator(self.spec, int(name[1]), **self.caps)
+        if name in self.gens:
+            return self.make(self.spec.one(), self.gens[name])
         if name == "z" and self.spec.kind in ("entire", "interval"):
-            return TwistedSeries.term(self.spec, self.spec.monomial(1, 1), (), **self.caps)
+            return self.make(self.spec.monomial(1, 1), self.unit)
         if name == "i":
             return self.scalar(GaussianRational(Fraction(0), Fraction(1)))
         match = re.fullmatch(r"g(\d+)", name)
@@ -196,64 +202,26 @@ class _SeriesRing:
             index = int(match.group(1)) - 1
             if not 0 <= index < self.spec.ngens:
                 raise KeyError(name)
-            return TwistedSeries.term(
-                self.spec, self.spec.monomial(1, (index,)), (), **self.caps
-            )
+            return self.make(self.spec.monomial(1, (index,)), self.unit)
         raise KeyError(name)
 
-    def power(self, value, exponent: int, token):
+    def power(self, value, exponent: int):
         if exponent < 0:
-            raise ParseError("negative exponents are only allowed on t")
-        result = TwistedSeries.one(self.spec, **self.caps)
-        for _ in range(exponent):
-            result = result * value
-        return result
-
-
-class _OreRing:
-    def __init__(self, spec: BaseSpec, delta=None):
-        self.spec = spec
-        self.delta = delta
-
-    def scalar(self, c: GaussianRational):
-        if self.spec.kind == "interval":
-            if c.im:
-                raise ParseError("complex scalars are not allowed on the interval base")
-            coeff = self.spec.monomial(c.re, 0)
-        else:
-            key = 0 if self.spec.kind != "free" else ()
-            coeff = self.spec.monomial(c, key)
-        return LaurentOrePoly.term(self.spec, coeff, 0, self.delta)
-
-    def atom(self, name: str):
-        if name == "t":
-            return LaurentOrePoly.term(self.spec, self.spec.one(), 1, self.delta)
-        if name == "z" and self.spec.kind in ("entire", "interval"):
-            return LaurentOrePoly.term(self.spec, self.spec.monomial(1, 1), 0, self.delta)
-        if name == "i":
-            return self.scalar(GaussianRational(Fraction(0), Fraction(1)))
-        match = re.fullmatch(r"g(\d+)", name)
-        if match and self.spec.kind == "free":
-            index = int(match.group(1)) - 1
-            if not 0 <= index < self.spec.ngens:
-                raise KeyError(name)
-            return LaurentOrePoly.term(
-                self.spec, self.spec.monomial(1, (index,)), 0, self.delta
-            )
-        raise KeyError(name)
-
-    def power(self, value, exponent: int, token):
-        if exponent < 0:
-            is_t = value.coeffs == {1: self.spec.one()}
-            if not is_t:
+            if "t" not in self.gens or value != self.atom("t"):
                 raise ParseError("negative exponents are only allowed on t")
-            if self.delta is not None:
-                raise ParseError("t^-1 is not available with a derivation")
-            return LaurentOrePoly.term(self.spec, self.spec.one(), exponent, self.delta)
-        result = LaurentOrePoly.one(self.spec, self.delta)
-        for _ in range(exponent):
-            result = result * value
-        return result
+            try:
+                return self.make(self.spec.one(), exponent)
+            except DerivationSupportError:
+                raise ParseError("t^-1 is not available with a derivation") from None
+        # square and multiply from the low bit; no squaring after the top bit
+        result = self.make(self.spec.one(), self.unit)
+        while True:
+            if exponent & 1:
+                result = result * value
+            exponent >>= 1
+            if not exponent:
+                return result
+            value = value * value
 
 
 def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None, delta=None):
@@ -265,7 +233,11 @@ def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None, delta=None
     uses_x = bool(idents & {"x1", "x2"})
     if uses_t and uses_x:
         raise ParseError("an expression cannot mix t with x1/x2")
-    ring = _OreRing(spec, delta) if uses_t else _SeriesRing(spec, caps)
+    if uses_t:
+        ring = _Ring(spec, lambda a, i: LaurentOrePoly.term(spec, a, i, delta), 0, {"t": 1})
+    else:
+        ring = _Ring(spec, lambda a, w: TwistedSeries.term(spec, a, w, **caps), (),
+                     {"x1": (1,), "x2": (2,)})
     return _Parser(tokens, ring).parse()
 
 
@@ -282,7 +254,7 @@ def parse_scalar(text: str) -> GaussianRational:
                 return GaussianRational(Fraction(0), Fraction(1))
             raise KeyError(name)
 
-        def power(self, value, exponent, token):
+        def power(self, value, exponent):
             return value**exponent
 
     return GaussianRational.of(_Parser(tokens, _ScalarRing()).parse())

@@ -1,11 +1,14 @@
 """The analytic Laurent algebra as a quotient of the twisted series algebra.
 
-Over the entire base with a scaling automorphism the closed ideal
-generated by ``x1*x2 - 1`` and ``x2*x1 - 1`` is the common kernel of the
-winding functionals phi(m, n).  This module computes those functionals,
-decides ideal membership on truncations, builds the canonical coset
-representative whose weighted norm realizes the quotient seminorm, and
-runs the collapse-to-zero diagnostics.
+Over the entire base the quotient by the ideal generated by
+``x1*x2 - 1`` and ``x2*x1 - 1`` is the Laurent skew algebra, and
+:func:`reduce_to_ore` (x^w -> t^{c(w)}) is the one normal form this
+module reads.  The winding functional phi(m, n) is the z^m coefficient
+of the t^n coefficient of ``reduce_to_ore(f)``, so f lies in the ideal
+exactly when that reduction is zero.  On the scaling base the module
+also builds the canonical coset representative whose weighted norm
+realizes the quotient seminorm, and runs the collapse-to-zero
+diagnostics.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import io
 import csv
 import enum
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .bases import BaseSpec, Exactness, ScaleAut, UnsupportedAutomorphism
+from .bases import BaseSpec, Exactness, UnsupportedAutomorphism
 from .scalars import GaussianRational
 from .tensor import TwistedSeries, twisted_norm
 from .words import canonical_word, counts, winding
@@ -36,34 +40,21 @@ def _require_scale(spec: BaseSpec):
         raise UnsupportedAutomorphism("|q| = 1 is excluded")
 
 
+def phi_table(f: TwistedSeries) -> dict:
+    """Nonzero functional values keyed by (m, n), read off reduce_to_ore(f)."""
+    _require_entire(f)
+    ore = reduce_to_ore(f)
+    return {(m, n): c for n, a in ore.coeffs.items() for m, c in a.coeffs.items()}
+
+
 def phi(f: TwistedSeries, m: int, n: int) -> GaussianRational:
     """Sum of the z^m coefficients of f over all words of winding n."""
-    _require_entire(f)
-    total = GaussianRational()
-    for w, a in f.terms.items():
-        if winding(w) == n:
-            total = total + a.coeffs.get(m, GaussianRational())
-    return total
+    return phi_table(f).get((m, n), GaussianRational())
 
 
 def phi_support(f: TwistedSeries):
-    """All (m, n) pairs that can carry a nonzero functional value."""
-    _require_entire(f)
-    pairs = set()
-    for w, a in f.terms.items():
-        for m in a.coeffs:
-            pairs.add((m, winding(w)))
-    return sorted(pairs)
-
-
-def phi_table(f: TwistedSeries) -> dict:
-    """Nonzero functional values, keyed by (m, n)."""
-    out = {}
-    for m, n in phi_support(f):
-        value = phi(f, m, n)
-        if value:
-            out[(m, n)] = value
-    return out
+    """Exactly the (m, n) pairs with a nonzero functional value, sorted."""
+    return sorted(phi_table(f))
 
 
 def collapse_bidegree(f: TwistedSeries) -> dict:
@@ -95,7 +86,8 @@ def bidegree_series(f: TwistedSeries) -> TwistedSeries:
 
 def ideal_member(f: TwistedSeries) -> bool:
     """True iff every winding functional vanishes on f (exact)."""
-    return not phi_table(f)
+    _require_entire(f)
+    return reduce_to_ore(f).is_zero()
 
 
 def relators(spec: BaseSpec, **caps) -> tuple[TwistedSeries, TwistedSeries]:
@@ -113,6 +105,18 @@ def relators(spec: BaseSpec, **caps) -> tuple[TwistedSeries, TwistedSeries]:
 
 def _winding_word(n: int):
     return (1,) * n if n >= 0 else (2,) * (-n)
+
+
+_PLAIN, _PADDED, _DROPPED = range(3)
+
+
+def _regime(q: GaussianRational, m: int, rho) -> int:
+    """Regime of class m, exactly: |q|^m <= rho, else |q|^m <= rho^2, else dropped."""
+    qm2 = q.abs2() ** m
+    rho = Fraction(rho)
+    if qm2 <= rho**2:
+        return _PLAIN
+    return _PADDED if qm2 <= rho**4 else _DROPPED
 
 
 @dataclass(frozen=True)
@@ -136,16 +140,14 @@ def canonical_representative(f: TwistedSeries, rho: float) -> CanonicalRep:
         )
     if rho <= 0:
         raise ValueError("rho must be positive")
-    rho = float(rho)
-    absq = abs(f.spec.aut.q)
     terms: dict = {}
     dropped = set()
     max_len = f.max_word_len
     for (m, n), c in phi_table(f).items():
-        qm = absq**m
-        if qm <= rho:
+        regime = _regime(f.spec.aut.q, m, rho)
+        if regime == _PLAIN:
             w = _winding_word(n)
-        elif qm <= rho * rho:
+        elif regime == _PADDED:
             w = (1,) * (n + 1) + (2,) if n > 0 else _winding_word(n)
         else:
             dropped.add((m, n))
@@ -191,10 +193,10 @@ def _display_norm(f: TwistedSeries, lam, rho: float) -> float:
     rho = float(rho)
     total = 0.0
     for (m, n), c in phi_table(f).items():
-        qm = absq**m
-        if qm <= rho:
+        regime = _regime(f.spec.aut.q, m, rho)
+        if regime == _PLAIN:
             total += abs(c) * lam**m * absq ** (-m * max(n - 1, 0)) * rho**n
-        elif qm <= rho * rho:
+        elif regime == _PADDED:
             if n > 0:
                 total += abs(c) * lam**m * absq ** (-m * n) * rho ** (n + 2)
             else:

@@ -4,6 +4,8 @@ from skewcalc.cli import main
 
 SCALE2_CFG = "base = entire\nautomorphism = scale\nq = 2\n"
 INTERVAL_CFG = "base = interval\nautomorphism = shift\n"
+Q1I_CFG = "base = entire\nautomorphism = scale\nq = 1+1i\n"
+D5000_CFG = "base = entire\nautomorphism = scale\nq = 2\nD = 5000\n"
 
 
 @pytest.fixture
@@ -119,6 +121,24 @@ def test_reduce_shows_representative_and_drops(capsys, scale2_cfg):
     assert code == 0
     assert out.splitlines()[0] == "0"
     assert "dropped classes: (m=1, n=1)" in out
+
+
+def test_reduce_regime_boundary_is_exact(capsys, tmp_path):
+    # |q|^2 = 2 equals rho = 2: the class keeps the plain word x1
+    cfg = tmp_path / "q1i.cfg"
+    cfg.write_text(Q1I_CFG)
+    argv = ["--config", str(cfg), "--rho", "2", "reduce", "--", "z^2*x1"]
+    code, out, _ = run(capsys, argv)
+    assert (code, out.strip()) == (0, "(z^2)*x1")
+
+
+def test_qnorm_drops_class_beyond_float_range(capsys, tmp_path):
+    # |q|^1200 = 2^1200 overflows a float but exceeds rho^2 = 4 exactly
+    cfg = tmp_path / "d5000.cfg"
+    cfg.write_text(D5000_CFG)
+    argv = ["--config", str(cfg), "--rho", "2", "qnorm", "--", "z^1200*x1"]
+    code, out, _ = run(capsys, argv)
+    assert (code, out.strip()) == (0, "0.0")
 
 
 def test_localizability(capsys, scale2_cfg):

@@ -64,15 +64,17 @@ def test_parse_free_generators(free_diag_spec):
 def test_parse_errors(scale2_spec, interval_shift_spec):
     with pytest.raises(ParseError):
         parse_expr("t*x1", scale2_spec)  # cannot mix the two pictures
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_expr("z @ x1", scale2_spec, CAPS)  # bad character
+    assert info.value.column == 3
     with pytest.raises(ParseError):
         parse_expr("w1", scale2_spec, CAPS)  # unknown generator
-    with pytest.raises(ParseError):
-        parse_expr("x1^-1", scale2_spec, CAPS)  # only t may be inverted
-    with pytest.raises(ParseError):
+    only_t = "negative exponents are only allowed on t"
+    with pytest.raises(ParseError, match=only_t):
+        parse_expr("x1^-1", scale2_spec, CAPS)
+    with pytest.raises(ParseError, match=only_t):
         parse_expr("(z*t)^-1", scale2_spec)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="t\\^-1 is not available with a derivation"):
         parse_expr("t^-1", scale2_spec, delta=PolyDerivation())
     with pytest.raises(ParseError):
         parse_expr("1i*x1", interval_shift_spec, CAPS)  # no complex scalars here
@@ -82,6 +84,29 @@ def test_parse_errors(scale2_spec, interval_shift_spec):
         parse_expr("z x1 +", scale2_spec, CAPS)  # dangling operator
     with pytest.raises(ParseError):
         parse_expr("3/0*x1", scale2_spec, CAPS)  # zero denominator
+
+
+def test_power_equals_repeated_product(scale2_spec, identity_entire_spec):
+    # d/dz is an alpha-derivation (so the Ore product associates) only for alpha = id
+    weyl = identity_entire_spec
+    cases = (
+        ("(z*x1 + 2*x2 - 1/2)", scale2_spec, None, TwistedSeries.one(scale2_spec, **CAPS)),
+        ("(z*t - 1 + 2*t^-1)", scale2_spec, None, LaurentOrePoly.one(scale2_spec)),
+        ("(z*t + 1)", weyl, PolyDerivation(), LaurentOrePoly.one(weyl, PolyDerivation())),
+    )
+    for text, spec, delta, expected in cases:
+        value = parse_expr(text, spec, CAPS, delta)
+        for n in range(7):
+            power = parse_expr(f"{text}^{n}", spec, CAPS, delta)
+            assert power == expected and not getattr(power, "truncated", False)
+            expected = expected * value
+
+
+def test_power_beyond_caps_is_truncated(scale2_spec):
+    assert not parse_expr("x1^16", scale2_spec, CAPS).truncated
+    assert parse_expr("x1^17", scale2_spec, CAPS).truncated
+    huge = parse_expr("x1^100000", scale2_spec)
+    assert huge.is_zero() and huge.truncated
 
 
 def test_parse_scalar_literals():

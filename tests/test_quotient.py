@@ -28,6 +28,7 @@ from skewcalc import (
     vanishing_test,
 )
 from skewcalc.quotient import bidegree_series, phi_support, phi_table
+from skewcalc.words import winding
 
 from conftest import q_of, rand_entire, rand_series
 
@@ -85,6 +86,31 @@ def test_phi_invariant_under_ideal_shift(rng, scale2_spec):
         g = rand_ideal_element(rng, scale2_spec)
         for m, n in phi_support(f):
             assert phi(f, m, n) == phi(f + g, m, n)
+
+
+def _phi_by_words(f):
+    """Direct sum over words of the z^m coefficients, by winding."""
+    out = {}
+    for w, a in f.terms.items():
+        for m, c in a.coeffs.items():
+            key = (m, winding(w))
+            out[key] = out.get(key, GaussianRational()) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def test_phi_table_matches_sum_over_words(rng, scale2_spec, shift_entire_spec):
+    for spec in (scale2_spec, shift_entire_spec):
+        for _ in range(40):
+            f = rand_series(rng, spec, 4, 4, 3, **CAPS)
+            # reversed words keep their winding, so the mirror cancels f's functionals
+            mirror = series(spec, {tuple(reversed(w)): -a for w, a in f.terms.items()})
+            g = rand_series(rng, spec, 2, 4, 3, **CAPS)
+            for h in (f, f + mirror, f + mirror + g, f + g):
+                table = _phi_by_words(h)
+                assert phi_table(h) == table
+                assert phi_support(h) == sorted(table)
+                assert ideal_member(h) == (not table)
+            assert not phi_table(f + mirror)
 
 
 def test_ideal_member_rejects_nonmembers(scale2_spec):
