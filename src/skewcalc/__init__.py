@@ -25,18 +25,16 @@ from .bases import (
     ShiftAut,
     SparseElement,
     UnsupportedAutomorphism,
-    entire_seminorm,
-    free_seminorm,
     generic_twisted_upper_bound,
     i_w_apply,
     interval_seminorm,
+    weighted_seminorm,
 )
 from .ore import (
     LaurentOrePoly,
     alpha_derivation_check,
     laurent_series_norm,
     localizability_probe,
-    oc_star_norm_table,
     ore_mul,
 )
 from .tensor import (

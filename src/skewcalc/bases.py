@@ -6,11 +6,15 @@ of the ring arithmetic.  It comes in three kinds, each fixing its scalar
 field and its key type:
 
 * :class:`EntirePoly` — polynomials in one variable z (non-negative int
-  degrees) with Gaussian-rational coefficients, seminorm sum(|c_m| rho^m);
+  degrees) with Gaussian-rational coefficients;
 * :class:`IntervalPoly` — real polynomials (non-negative int degrees) with
   rational coefficients, seminorm sup over a closed interval [-n, n];
 * :class:`FreeSeries` — finitely supported series over free generators
-  (keys are tuples of generator indices), seminorm sum(|a_v| rho^{|v|}).
+  (keys are tuples of generator indices).
+
+Each kind also declares the weight of a key (z^m weighs m, a word v
+weighs |v|); the entire and free bases share the weighted seminorm
+sum(|c_k| rho^weight(k)) of :func:`weighted_seminorm`.
 
 A :class:`BaseSpec` bundles an element kind with an automorphism and
 exposes seminorms and per-word twisted seminorms.  Closed forms (exact)
@@ -31,7 +35,6 @@ from .words import (
     Interval,
     Word,
     extremal_twists,
-    interval as word_interval,
     partial_sums,
 )
 
@@ -39,6 +42,7 @@ from .words import (
 class Exactness(enum.Enum):
     EXACT = "exact"
     UPPER_BOUND = "upper_bound"
+    TRUNCATED = "truncated"  # the caps dropped terms of the input
 
 
 class UnsupportedAutomorphism(ValueError):
@@ -59,16 +63,18 @@ class SparseElement:
     """A finitely supported map from keys to nonzero exact scalars.
 
     Each kind declares its scalar field (``_scalar`` coerces one
-    coefficient) and its key type (``_key``).  Keys form a monoid under
-    ``+`` whose unit is ``_key()``: int degrees add and tuples of generator
-    indices concatenate, so one product loop serves every kind.  Elements
-    of different kinds never compare equal.
+    coefficient), its key type (``_key``) and the weight of a key
+    (``_weight``).  Keys form a monoid under ``+`` whose unit is
+    ``_key()``: int degrees add and tuples of generator indices
+    concatenate, so one product loop serves every kind.  Elements of
+    different kinds never compare equal.
     """
 
     coeffs: dict = field(default_factory=dict)
 
     _scalar = staticmethod(GaussianRational.of)
     _key = int
+    _weight = staticmethod(int)
 
     def __post_init__(self):
         scalar, key = self._scalar, self._key
@@ -177,6 +183,7 @@ class FreeSeries(SparseElement):
     """
 
     _key = tuple
+    _weight = staticmethod(len)
 
     def degree(self) -> int:
         return max((len(v) for v in self.coeffs), default=0)
@@ -196,9 +203,6 @@ class IdentityAut:
 
     def inverse(self) -> "IdentityAut":
         return self
-
-    def describe(self) -> str:
-        return "identity"
 
 
 @dataclass(frozen=True)
@@ -228,9 +232,6 @@ class ScaleAut:
     def abs_gt_one(self) -> bool:
         return self.q.abs2() > 1
 
-    def describe(self) -> str:
-        return f"scale q={self.q}"
-
 
 @dataclass(frozen=True)
 class ShiftAut:
@@ -250,9 +251,6 @@ class ShiftAut:
     def inverse(self) -> "ShiftAut":
         return ShiftAut(-self.step)
 
-    def describe(self) -> str:
-        return f"shift step={self.step}"
-
 
 @dataclass(frozen=True)
 class DiagonalAut:
@@ -270,19 +268,16 @@ class DiagonalAut:
     def apply(self, el: FreeSeries, k: int) -> FreeSeries:
         if k == 0:
             return el
+        qk = [q**k for q in self.qs]
         out = {}
         for v, c in el.coeffs.items():
-            factor = GaussianRational.of(1)
             for i in v:
-                factor = factor * (self.qs[i] ** k)
-            out[v] = factor * c
+                c = c * qk[i]
+            out[v] = c
         return type(el)(out)
 
     def inverse(self) -> "DiagonalAut":
         return DiagonalAut(tuple(q.inverse() for q in self.qs))
-
-    def describe(self) -> str:
-        return "diagonal(" + ",".join(str(q) for q in self.qs) + ")"
 
 
 @dataclass(frozen=True)
@@ -424,20 +419,13 @@ def interval_seminorm(f: IntervalPoly, window) -> float:
 # ---------------------------------------------------------------------------
 
 
-def entire_seminorm(f: EntirePoly, rho: float) -> float:
-    """sum(|c_m| rho^m)."""
+def weighted_seminorm(el: SparseElement, rho: float) -> float:
+    """sum(|c_k| rho^weight(k)): z^m weighs m, a free word v weighs |v|."""
     if rho <= 0:
         raise ValueError("radius must be positive")
     rho = float(rho)
-    return sum(abs(c) * rho**m for m, c in f.coeffs.items())
-
-
-def free_seminorm(a: FreeSeries, rho: float) -> float:
-    """sum(|a_v| rho^{|v|})."""
-    if rho <= 0:
-        raise ValueError("radius must be positive")
-    rho = float(rho)
-    return sum(abs(c) * rho ** len(v) for v, c in a.coeffs.items())
+    weight = el._weight
+    return sum(abs(c) * rho ** weight(k) for k, c in el.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +473,7 @@ class BaseSpec:
     def one(self):
         return self.element_type.one()
 
-    def monomial(self, c, key=0):
+    def monomial(self, c, key=None):
         return self.element_type.monomial(c, key)
 
     # -- structure ---------------------------------------------------------
@@ -498,21 +486,13 @@ class BaseSpec:
 
     def is_invertible(self, el) -> bool:
         """True for nonzero constants, the units among stored elements."""
-        if el.is_zero():
-            return False
-        key = () if self.kind == "free" else 0
-        return set(el.coeffs) == {key}
-
-    def degree(self, el) -> int:
-        return el.degree()
+        return el.coeffs.keys() == {el._key()}
 
     # -- seminorms ---------------------------------------------------------
 
     def seminorm(self, el, lam) -> float:
-        if self.kind == "entire":
-            return entire_seminorm(el, lam)
-        if self.kind == "free":
-            return free_seminorm(el, lam)
+        if self.kind != "interval":
+            return weighted_seminorm(el, lam)
         n = Fraction(lam)
         if n <= 0:
             raise ValueError("half-width must be positive")
@@ -537,16 +517,18 @@ class BaseSpec:
         return self._slot_upper_bound(el, w, lam), Exactness.UPPER_BOUND
 
     def _shift_window(self, w: Word, lam):
+        """[-n, n] shifted by p * step for each slot twist p, intersected.
+
+        The intersection is [-n + s_max, n + s_min] over the extremal
+        shifts s, or Empty when it inverts; a negative step swaps which
+        extremal twist gives which end.
+        """
         n = Fraction(lam)
-        if self.aut.step == 1:
-            return word_interval(w, n)
-        # a shift by `step` rescales the twist profile by that step
+        if n <= 0:
+            raise ValueError("half-width n must be positive")
         k_min, k_max = extremal_twists(w)
-        lo = -n + k_max * self.aut.step
-        hi = n + k_min * self.aut.step
-        if self.aut.step < 0:
-            lo = -n + k_min * self.aut.step
-            hi = n + k_max * self.aut.step
+        s_min, s_max = sorted((k_min * self.aut.step, k_max * self.aut.step))
+        lo, hi = -n + s_max, n + s_min
         if lo > hi:
             return EMPTY_INTERVAL
         return Interval(lo, hi)
@@ -559,7 +541,7 @@ class BaseSpec:
         k_min, k_max = extremal_twists(w)
         k = k_max if self.aut.abs_gt_one() else k_min
         lam_eff = float(lam) * abs(self.aut.q) ** (-k)
-        return entire_seminorm(el, lam_eff), Exactness.EXACT
+        return weighted_seminorm(el, lam_eff), Exactness.EXACT
 
     def _twisted_entire_shift(self, el, w, lam):
         # zero certificate: a leading 1-block long enough forces the

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .bases import (
     BaseSpec,
     DiagonalAut,
+    Exactness,
     IdentityAut,
     PolyDerivation,
     ScaleAut,
@@ -47,10 +48,15 @@ class SessionConfig:
     spec: BaseSpec
     delta: object
     caps: dict
-    fmt: str
+
+
+_CONFIG_KEYS = ("base", "automorphism", "q", "derivation", "L", "D")
 
 
 def _build_config(values: dict) -> SessionConfig:
+    unknown = [key for key in values if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} (known: {', '.join(_CONFIG_KEYS)})")
     base = values.get("base", "entire")
     ngens = 2
     if base.startswith("free"):
@@ -63,19 +69,24 @@ def _build_config(values: dict) -> SessionConfig:
     if base not in ("entire", "interval", "free"):
         raise ConfigError(f"unknown base {base!r}")
 
+    aut_name = values.get("automorphism", "scale" if base == "entire" else "shift")
+    if base == "free" and "automorphism" not in values:
+        aut_name = "diagonal"
+
     derivation = values.get("derivation", "none")
     if derivation == "none":
         delta = None
     elif derivation == "ddz":
         if base == "free":
             raise ConfigError("the derivation needs a polynomial base")
+        # d/dz is an alpha-derivation only for alpha = id; under any other
+        # automorphism the Ore product would not associate
+        if aut_name != "identity":
+            raise ConfigError("the derivation ddz needs automorphism = identity")
         delta = PolyDerivation()
     else:
         raise ConfigError(f"unknown derivation {derivation!r}")
 
-    aut_name = values.get("automorphism", "scale" if base == "entire" else "shift")
-    if base == "free" and "automorphism" not in values:
-        aut_name = "diagonal"
     # malformed values (a zero or unparsable q, a non-integer cap, an
     # automorphism the base does not support) are configuration errors
     try:
@@ -99,10 +110,7 @@ def _build_config(values: dict) -> SessionConfig:
         }
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
-    fmt = values.get("format", "text")
-    if fmt not in ("text", "csv"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    return SessionConfig(spec, delta, caps, fmt)
+    return SessionConfig(spec, delta, caps)
 
 
 def load_config(path: str | None) -> SessionConfig:
@@ -127,18 +135,13 @@ class UnsupportedCommand(RuntimeError):
     pass
 
 
-def _parse(source: str, config: SessionConfig):
-    return parse_expr(source, config.spec, config.caps, config.delta)
-
-
 def _require_series(obj, command: str) -> TwistedSeries:
     if not isinstance(obj, TwistedSeries):
         raise UnsupportedCommand(f"{command} expects an x1/x2 expression")
     return obj
 
 
-def _base_element(source: str, config: SessionConfig):
-    parsed = _parse(source, config)
+def _base_element(parsed):
     if isinstance(parsed, LaurentOrePoly):
         raise UnsupportedCommand("expected a base-algebra element")
     if any(w for w in parsed.terms):
@@ -146,12 +149,26 @@ def _base_element(source: str, config: SessionConfig):
     return parsed.coefficient(())
 
 
+def _norm(parsed, lam, rho) -> tuple[float, Exactness]:
+    """The weighted norm of a twisted series or a Laurent polynomial, tagged."""
+    if isinstance(parsed, TwistedSeries):
+        return twisted_norm(parsed, lam, rho)
+    return laurent_series_norm(parsed, lam, rho), Exactness.EXACT
+
+
 def run_command(args, config: SessionConfig, out=None) -> int:
     if out is None:
         out = sys.stdout
+    results = []  # every parsed input and product, checked once for truncation
+
+    def parse(source: str):
+        parsed = parse_expr(source, config.spec, config.caps, config.delta)
+        results.append(parsed)
+        return parsed
+
     cmd = args.command
     if cmd == "mul":
-        lhs, rhs = _parse(args.exprs[0], config), _parse(args.exprs[1], config)
+        lhs, rhs = parse(args.exprs[0]), parse(args.exprs[1])
         if isinstance(lhs, TwistedSeries) != isinstance(rhs, TwistedSeries):
             # a factor without t or x1/x2 lives in the base algebra and
             # can be lifted into the Ore picture of the other factor
@@ -166,31 +183,27 @@ def run_command(args, config: SessionConfig, out=None) -> int:
         if isinstance(lhs, TwistedSeries) != isinstance(rhs, TwistedSeries):
             raise UnsupportedCommand("operands must both use x1/x2 or both use t")
         product = series_mul(lhs, rhs) if isinstance(lhs, TwistedSeries) else ore_mul(lhs, rhs)
+        results.append(product)
         print(format_element(product), file=out)
-        if getattr(product, "truncated", False):
-            print("warning: terms beyond the caps were dropped", file=sys.stderr)
     elif cmd == "norm":
-        parsed = _parse(args.exprs[0], config)
-        if isinstance(parsed, TwistedSeries):
-            value, exactness = twisted_norm(parsed, args.lam, float(args.rho))
-            print(f"{_fmt_value(value)} ({exactness.value})", file=out)
-        else:
-            value = laurent_series_norm(parsed, args.lam, float(args.rho))
-            print(_fmt_value(value), file=out)
+        parsed = parse(args.exprs[0])
+        value, exactness = _norm(parsed, args.lam, args.rho)
+        tag = f" ({exactness.value})" if isinstance(parsed, TwistedSeries) else ""
+        print(f"{_fmt_value(value)}{tag}", file=out)
     elif cmd == "qnorm":
-        series = _require_series(_parse(args.exprs[0], config), "qnorm")
+        series = _require_series(parse(args.exprs[0]), "qnorm")
         value = quotient_norm(series, args.lam, float(args.rho),
                               paper_display=args.paper_display)
         print(_fmt_value(value), file=out)
     elif cmd == "reduce":
-        series = _require_series(_parse(args.exprs[0], config), "reduce")
+        series = _require_series(parse(args.exprs[0]), "reduce")
         rep = canonical_representative(series, float(args.rho))
         print(format_series(rep.series), file=out)
         if rep.dropped:
             dropped = ", ".join(f"(m={m}, n={n})" for m, n in sorted(rep.dropped))
             print(f"dropped classes: {dropped}", file=out)
     elif cmd == "phi":
-        series = _require_series(_parse(args.exprs[0], config), "phi")
+        series = _require_series(parse(args.exprs[0]), "phi")
         if args.m is not None and args.n is not None:
             print(str(phi(series, args.m, args.n)), file=out)
         else:
@@ -200,10 +213,10 @@ def run_command(args, config: SessionConfig, out=None) -> int:
             for (m, n), value in sorted(table.items()):
                 print(f"phi({m},{n}) = {value}", file=out)
     elif cmd == "ideal-test":
-        series = _require_series(_parse(args.exprs[0], config), "ideal-test")
+        series = _require_series(parse(args.exprs[0]), "ideal-test")
         print("true" if ideal_member(series) else "false", file=out)
     elif cmd == "to-ore":
-        series = _require_series(_parse(args.exprs[0], config), "to-ore")
+        series = _require_series(parse(args.exprs[0]), "to-ore")
         print(format_element(reduce_to_ore(series)), file=out)
     elif cmd == "localizability":
         lams = _grid(args.lambda_grid, [args.lam])
@@ -223,11 +236,11 @@ def run_command(args, config: SessionConfig, out=None) -> int:
                     file=out,
                 )
     elif cmd == "vanishing":
-        r = _base_element(args.r if args.r is not None else "1", config)
+        r = _base_element(parse(args.r if args.r is not None else "1"))
         lams = _grid(args.lambda_grid, [args.lam])
         rhos = _grid(args.rho_grid, [args.rho])
         report = vanishing_test(config.spec, r, lams, rhos, args.depth or 12)
-        if config.fmt == "csv" or args.format == "csv":
+        if args.format == "csv":
             out.write(report.to_csv())
         else:
             print(report.verdict.value, file=out)
@@ -235,20 +248,19 @@ def run_command(args, config: SessionConfig, out=None) -> int:
                 print("note: r is not invertible; only membership of the"
                       " closed ideal follows", file=out)
     elif cmd == "table":
-        parsed = _parse(args.exprs[0], config)
+        parsed = parse(args.exprs[0])
         lams = _grid(args.lambda_grid, [args.lam])
         rhos = _grid(args.rho_grid, [args.rho])
         print("lambda,rho,value,exactness", file=out)
         for lam in sorted(lams, key=float):
             for rho in sorted(rhos, key=float):
-                if isinstance(parsed, TwistedSeries):
-                    value, exactness = twisted_norm(parsed, lam, float(rho))
-                    tag = exactness.value
-                else:
-                    value, tag = laurent_series_norm(parsed, lam, float(rho)), "exact"
-                print(f"{float(lam)},{float(rho)},{_fmt_value(value)},{tag}", file=out)
+                value, exactness = _norm(parsed, lam, rho)
+                print(f"{float(lam)},{float(rho)},{_fmt_value(value)},{exactness.value}",
+                      file=out)
     else:
         raise UnsupportedCommand(f"unknown command {cmd!r}")
+    if any(getattr(obj, "truncated", False) for obj in results):
+        print("warning: terms beyond the caps were dropped", file=sys.stderr)
     return 0
 
 
@@ -291,7 +303,7 @@ def main(argv=None) -> int:
     except (UnsupportedAutomorphism, UnsupportedCommand) as exc:
         print(f"unsupported configuration: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,8 @@ nonnegative supports.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass, field
+from itertools import product
 
 from .bases import BaseSpec, MismatchedBaseError
 
@@ -45,9 +44,6 @@ class LaurentOrePoly:
     @staticmethod
     def term(spec: BaseSpec, a, i: int = 0, delta=None) -> "LaurentOrePoly":
         return LaurentOrePoly(spec, {i: a}, delta)
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -169,45 +165,39 @@ class ProbeReport:
 
 
 def _basis_elements(spec: BaseSpec, cap: int):
+    """(degree, monomial) for every basis monomial of degree at most cap."""
     if spec.kind == "free":
-        from itertools import product
-
         for length in range(cap + 1):
             for v in product(range(spec.ngens), repeat=length):
-                yield spec.monomial(1, v)
+                yield length, spec.monomial(1, v)
     else:
         for m in range(cap + 1):
-            yield spec.monomial(1, m)
+            yield m, spec.monomial(1, m)
 
 
 def _direction_report(spec: BaseSpec, lam, cap: int, direction: int) -> DirectionReport:
-    ratios = []
-    for e in _basis_elements(spec, cap):
+    ratios = []  # (degree, ratio)
+    for degree, e in _basis_elements(spec, cap):
         denom = spec.seminorm(e, lam)
         if denom == 0:
             continue
-        ratios.append(spec.seminorm(spec.aut_apply(e, direction), lam) / denom)
-    sup_ratio = max(ratios)
+        ratios.append((degree, spec.seminorm(spec.aut_apply(e, direction), lam) / denom))
+    sup_ratio = max(ratio for _, ratio in ratios)
     aut = spec.aut
     # closed-form bounds only where the instance provides them
     if aut.kind == "identity":
         return DirectionReport("bounded", sup_ratio, 1.0)
-    if aut.kind == "scale":
-        shrinking = aut.q.abs2() < 1 if direction > 0 else aut.q.abs2() > 1
-        if shrinking or aut.q.abs2() == 1:
+    if aut.kind in ("scale", "diagonal"):
+        # alpha^direction multiplies each monomial by a product of the
+        # factors q_i^direction: no factor grows when every |q_i| <= 1
+        # forward, or every |q_i| >= 1 backward
+        qs = (aut.q,) if aut.kind == "scale" else aut.qs
+        if all(q.abs2() <= 1 if direction > 0 else q.abs2() >= 1 for q in qs):
             return DirectionReport("bounded", sup_ratio, max(1.0, sup_ratio))
-    if aut.kind == "diagonal":
-        if direction > 0 and all(q.abs2() <= 1 for q in aut.qs):
-            return DirectionReport("bounded", sup_ratio, 1.0)
-        if direction < 0 and all(q.abs2() >= 1 for q in aut.qs):
-            return DirectionReport("bounded", sup_ratio, 1.0)
     # empirical only: growth across degrees, never a negative certificate
-    half = [
-        spec.seminorm(spec.aut_apply(e, direction), lam) / spec.seminorm(e, lam)
-        for e in _basis_elements(spec, max(1, cap // 2))
-        if spec.seminorm(e, lam) > 0
-    ]
-    if sup_ratio > max(half) * (1 + 1e-12) or sup_ratio > 1 + 1e-9:
+    half_cap = max(1, cap // 2)
+    half = max(ratio for degree, ratio in ratios if degree <= half_cap)
+    if sup_ratio > half * (1 + 1e-12) or sup_ratio > 1 + 1e-9:
         return DirectionReport("growing", sup_ratio)
     return DirectionReport("inconclusive", sup_ratio)
 
@@ -230,23 +220,3 @@ def localizability_probe(spec: BaseSpec, lams, degree_cap: int) -> list[ProbeRep
             )
         )
     return reports
-
-
-def oc_star_norm_table(f: LaurentOrePoly, lams, rhos) -> list[tuple]:
-    """Rows (lam, rho, norm), sorted by (lam, rho)."""
-    if not lams or not rhos:
-        raise ValueError("grids must be nonempty")
-    rows = []
-    for lam in sorted(lams, key=float):
-        for rho in sorted(rhos, key=float):
-            rows.append((lam, rho, laurent_series_norm(f, lam, float(rho))))
-    return rows
-
-
-def norm_table_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["lambda", "rho", "norm"])
-    for lam, rho, value in rows:
-        writer.writerow([float(lam), float(rho), repr(value)])
-    return buf.getvalue()

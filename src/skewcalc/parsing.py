@@ -184,11 +184,8 @@ class _Ring:
         if self.spec.kind == "interval":
             if c.im:
                 raise ParseError("complex scalars are not allowed on the interval base")
-            coeff = self.spec.monomial(c.re, 0)
-        else:
-            key = 0 if self.spec.kind != "free" else ()
-            coeff = self.spec.monomial(c, key)
-        return self.make(coeff, self.unit)
+            c = c.re
+        return self.make(self.spec.monomial(c), self.unit)
 
     def atom(self, name: str):
         if name in self.gens:
@@ -302,14 +299,27 @@ def format_base(el, kind: str) -> str:
     return out
 
 
-def _join_terms(parts: list) -> str:
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
+def _join_terms(terms, kind: str) -> str:
+    """Join (base coefficient, monomial text) pairs, e.g. '(2*z)*t^3 - x1 + 1'.
+
+    An empty monomial text marks the constant term; '0' is the empty sum.
+    """
+    out = ""
+    for a, mono in terms:
+        base = format_base(a, kind)
+        if not mono:
+            part = base
+        elif base == "1":
+            part = mono
+        else:
+            part = f"({base})*{mono}"
+        if not out:
+            out = part
+        elif part.startswith("-"):
             out += f" - {part[1:]}"
         else:
             out += f" + {part}"
-    return out
+    return out or "0"
 
 
 def _format_word(w: Word) -> str:
@@ -326,35 +336,14 @@ def _format_word(w: Word) -> str:
 
 def format_series(f: TwistedSeries) -> str:
     """Canonical text form, words ordered by (length, lexicographic)."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for w in f.words():
-        base = format_base(f.terms[w], f.spec.kind)
-        if not w:
-            parts.append(base)
-        elif base == "1":
-            parts.append(_format_word(w))
-        else:
-            parts.append(f"({base})*{_format_word(w)}")
-    return _join_terms(parts)
+    return _join_terms(((f.terms[w], _format_word(w)) for w in f.words()), f.spec.kind)
 
 
 def format_ore(p: LaurentOrePoly) -> str:
     """Canonical text form, exponents descending, e.g. '(2*z)*t^3 + t^-1'."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in sorted(p.coeffs, reverse=True):
-        base = format_base(p.coeffs[i], p.spec.kind)
-        power = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
-        if not power:
-            parts.append(base)
-        elif base == "1":
-            parts.append(power)
-        else:
-            parts.append(f"({base})*{power}")
-    return _join_terms(parts)
+    terms = ((p.coeffs[i], "" if i == 0 else "t" if i == 1 else f"t^{i}")
+             for i in sorted(p.coeffs, reverse=True))
+    return _join_terms(terms, p.spec.kind)
 
 
 def format_element(obj) -> str:

@@ -297,11 +297,16 @@ def vanishing_test(
     """Evaluate the collapse criterion sequence over a (lam, rho) grid.
 
     For each grid point the values ||r||^{(w_k)} * rho^{2k} are computed
-    for k = 1..depth.  A certified collapse needs an exactly-zero tail at
-    every grid point and an invertible r; otherwise rapid decay below
-    1e-12 everywhere is reported as observed, and anything else as no
-    decay.  Nonzero upper-bound values cannot support a NoDecay verdict.
+    for k = 1..depth.  A certified collapse needs an invertible r and, at
+    every grid point, a zero tail: the seminorm ||r||^{(w_depth)} itself,
+    read before the rho^{2k} factor, must be 0.0 and tagged Exact, since a
+    product that underflows to 0.0 certifies nothing.  Otherwise rapid
+    decay below 1e-12 everywhere is reported as observed, and anything
+    else as no decay.  Nonzero upper-bound values cannot support a
+    NoDecay verdict.
     """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     invertible = spec.is_invertible(r)
     rows = []
     zero_tail_everywhere = True
@@ -311,24 +316,14 @@ def vanishing_test(
         for rho in rhos:
             rho = float(rho)
             values = []
-            tags = []
             for k in range(1, depth + 1):
                 value, tag = spec.twisted_seminorm(r, _family_word(k, family), lam)
                 seq = value * rho ** (2 * k)
                 values.append(seq)
-                tags.append(tag)
                 rows.append((lam, rho, k, seq))
-            if any(t is Exactness.UPPER_BOUND and v != 0.0 for t, v in zip(tags, values)):
-                saw_upper_bound = True
-            zero_from = None
-            for k0 in range(len(values)):
-                if all(
-                    v == 0.0 and t is Exactness.EXACT or v == 0.0
-                    for v, t in zip(values[k0:], tags[k0:])
-                ):
-                    zero_from = k0 + 1
-                    break
-            if zero_from is None:
+                if tag is Exactness.UPPER_BOUND and seq != 0.0:
+                    saw_upper_bound = True
+            if not (value == 0.0 and tag is Exactness.EXACT):
                 zero_tail_everywhere = False
             if min(values) >= _DECAY_TOL:
                 decay_everywhere = False

@@ -130,7 +130,8 @@ def mul(f: TwistedSeries, g: TwistedSeries) -> TwistedSeries:
 def twisted_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:
     """sum over words of the per-word seminorm times rho^|w|.
 
-    The result is tagged Exact only when every per-word seminorm was.
+    The result is tagged Truncated when the caps dropped terms of f, and
+    otherwise Exact only when every per-word seminorm was.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -142,7 +143,7 @@ def twisted_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:
         if tag is Exactness.UPPER_BOUND and value != 0.0:
             exactness = Exactness.UPPER_BOUND
         total += value * rho ** len(w)
-    return total, exactness
+    return total, Exactness.TRUNCATED if f.truncated else exactness
 
 
 def single_variable_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:

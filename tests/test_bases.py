@@ -17,13 +17,12 @@ from skewcalc import (
     ScaleAut,
     ShiftAut,
     UnsupportedAutomorphism,
-    entire_seminorm,
-    free_seminorm,
     generic_twisted_upper_bound,
     interval_seminorm,
+    weighted_seminorm,
 )
 from skewcalc.bases import InvalidDecompositionError, i_w_apply
-from skewcalc.words import EMPTY_INTERVAL
+from skewcalc.words import EMPTY_INTERVAL, all_words, partial_sums
 
 from conftest import (
     q_of,
@@ -90,14 +89,14 @@ def test_shift_argument_is_substitution():
 
 def test_entire_seminorm_values():
     f = EntirePoly({0: 1, 2: Fraction(-3, 2)})
-    assert entire_seminorm(f, 2.0) == 1 + 1.5 * 4
+    assert weighted_seminorm(f, 2.0) == 1 + 1.5 * 4
     with pytest.raises(ValueError):
-        entire_seminorm(f, 0)
+        weighted_seminorm(f, 0)
 
 
 def test_free_seminorm_values():
     a = FreeSeries({(): 1, (0, 1): -2})
-    assert free_seminorm(a, 3.0) == 1 + 2 * 9
+    assert weighted_seminorm(a, 3.0) == 1 + 2 * 9
 
 
 def test_interval_seminorm_endpoint_maximum():
@@ -178,8 +177,8 @@ def test_scale_aut_norm_identity(rng, scale2_spec):
         f = rand_entire(rng)
         for k in (-2, -1, 1, 2):
             for rho in (0.5, 1, 2):
-                lhs = entire_seminorm(scale2_spec.aut_apply(f, k), rho)
-                rhs = entire_seminorm(f, 2.0**k * rho)
+                lhs = weighted_seminorm(scale2_spec.aut_apply(f, k), rho)
+                rhs = weighted_seminorm(f, 2.0**k * rho)
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -208,7 +207,7 @@ def test_diagonal_aut_isometric_for_unit_modulus():
     spec = BaseSpec("free", DiagonalAut((unit, unit)), ngens=2)
     a = FreeSeries({(0, 1, 0): Fraction(5, 3)})
     for k in (-2, 1, 3):
-        assert free_seminorm(spec.aut_apply(a, k), 2.0) == free_seminorm(a, 2.0)
+        assert weighted_seminorm(spec.aut_apply(a, k), 2.0) == weighted_seminorm(a, 2.0)
 
 
 def test_scale_aut_rejects_zero():
@@ -276,6 +275,21 @@ def test_twisted_seminorm_interval_shift_exact(interval_shift_spec):
     assert (value, tag) == (1.0, Exactness.EXACT)
     value, tag = interval_shift_spec.twisted_seminorm(one, (1, 2), 1)
     assert (value, tag) == (1.0, Exactness.EXACT)
+
+
+def test_shift_window_matches_slot_intersection():
+    # the window is [-n, n] shifted by p * step for every slot twist p
+    # (slots 0 .. |w|-1, slot 0 kept for the empty word), intersected
+    for step in (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)):
+        spec = BaseSpec("interval", ShiftAut(step))
+        for n in (Fraction(1, 2), Fraction(1), Fraction(5, 2)):
+            for w in all_words(6):
+                shifts = [p * step for p in partial_sums(w)[: max(len(w), 1)]]
+                lo, hi = -n + max(shifts), n + min(shifts)
+                expected = EMPTY_INTERVAL if lo > hi else Interval(lo, hi)
+                assert spec._shift_window(w, n) == expected, (step, n, w)
+        with pytest.raises(ValueError):
+            spec._shift_window((1, 2), 0)
 
 
 def test_twisted_seminorm_entire_shift_zero_certificate(shift_entire_spec):

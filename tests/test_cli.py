@@ -94,6 +94,40 @@ def test_table_sorted_with_header(capsys, scale2_cfg):
     assert lines[2] == "1.0,1.0,1.0,exact"
 
 
+def test_table_laurent_rows(capsys, scale2_cfg):
+    code, out, _ = run(
+        capsys,
+        ["--config", scale2_cfg, "table", "t + t^-1",
+         "--lambda-grid", "2,1", "--rho-grid", "1,1/2"],
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "lambda,rho,value,exactness",
+        "1.0,0.5,2.5,exact", "1.0,1.0,2.0,exact",
+        "2.0,0.5,2.5,exact", "2.0,1.0,2.0,exact",
+    ]
+    code, out, _ = run(
+        capsys, ["--config", scale2_cfg, "table", "t + t^-1", "--lambda-grid", ""]
+    )
+    assert (code, out) == (2, "")
+
+
+def test_truncated_input_is_reported(capsys):
+    # x1^17 exceeds the default word cap L = 16: the caps drop every term
+    code, out, err = run(capsys, ["norm", "x1^17"])
+    assert (code, out.strip()) == (0, "0.0 (truncated)")
+    assert "warning: terms beyond the caps were dropped" in err
+    code, out, err = run(capsys, ["table", "x1^17", "--rho-grid", "1,2"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["1.0,1.0,0.0,truncated", "1.0,2.0,0.0,truncated"]
+    assert "warning" in err
+    code, out, err = run(capsys, ["ideal-test", "x1^17"])
+    assert (code, out.strip()) == (0, "true")
+    assert "warning" in err
+    code, out, err = run(capsys, ["norm", "x1^16"])
+    assert (code, out.strip(), err) == (0, "1.0 (exact)", "")
+
+
 def test_phi_outputs(capsys, scale2_cfg):
     code, out, _ = run(
         capsys, ["--config", scale2_cfg, "phi", "z*x1", "--m", "1", "--n", "1"]
@@ -148,6 +182,13 @@ def test_localizability(capsys, scale2_cfg):
     assert "no negative certificate" in out
 
 
+def test_vanishing_underflow_is_not_a_certificate(capsys):
+    # q = 2, r = 1: every per-word seminorm is 1; only rho^(2k) underflows
+    argv = ["--rho", "1e-200", "vanishing", "--r", "1", "--depth", "4"]
+    code, out, _ = run(capsys, argv)
+    assert (code, out.strip()) == (0, "RapidDecayObserved")
+
+
 def test_vanishing_csv_format(capsys, interval_cfg):
     code, out, _ = run(
         capsys,
@@ -182,12 +223,24 @@ def test_config_error_exit_code(capsys, tmp_path):
     worse.write_text("base = lattice\n")
     code, _, err = run(capsys, ["--config", str(worse), "qnorm", "z*x1"])
     assert code == 2
-    for text in ("q = 0\n", "q = 1/0\n", "D = abc\n"):
+    for text in ("q = 0\n", "q = 1/0\n", "D = abc\n",
+                 # d/dz is an alpha-derivation only for the identity
+                 "derivation = ddz\n",
+                 "automorphism = shift\nderivation = ddz\n",
+                 # unknown keys, a removed one among them, never fall back to defaults
+                 "format = csv\n", "automorphsm = identity\n"):
         malformed = tmp_path / "malformed.cfg"
         malformed.write_text(text)
         code, _, err = run(capsys, ["--config", str(malformed), "qnorm", "z*x1"])
         assert code == 2
         assert "config error" in err
+
+
+def test_config_identity_with_derivation(capsys, tmp_path):
+    cfg = tmp_path / "weyl.cfg"
+    cfg.write_text("base = entire\nautomorphism = identity\nderivation = ddz\n")
+    code, out, _ = run(capsys, ["--config", str(cfg), "mul", "t", "z"])
+    assert (code, out.strip()) == (0, "(z)*t + 1")
 
 
 def test_missing_config_file_exit_code(capsys, tmp_path):
@@ -199,6 +252,17 @@ def test_unsupported_configuration_exit_code(capsys, interval_cfg):
     code, _, err = run(capsys, ["--config", interval_cfg, "qnorm", "z*x1"])
     assert code == 3
     assert "unsupported configuration" in err
+
+
+def test_float_overflow_exit_code(capsys, tmp_path):
+    # the class is kept at rho = 1e200, and rho^3 overflows a float
+    cfg = tmp_path / "d5000.cfg"
+    cfg.write_text(D5000_CFG)
+    argv = ["--config", str(cfg), "--rho", "1e200", "qnorm", "--", "z^1200*x1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_bad_rho_exit_code(capsys, scale2_cfg):

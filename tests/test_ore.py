@@ -12,11 +12,10 @@ from skewcalc import (
     alpha_derivation_check,
     laurent_series_norm,
     localizability_probe,
-    oc_star_norm_table,
     ore_mul,
 )
-from skewcalc.bases import MismatchedBaseError
-from skewcalc.ore import DerivationSupportError, norm_table_csv
+from skewcalc.bases import DiagonalAut, MismatchedBaseError, ScaleAut
+from skewcalc.ore import DerivationSupportError
 
 from conftest import rand_entire
 
@@ -129,19 +128,6 @@ def test_laurent_norm_submultiplicative_identity_aut(rng, weyl_spec):
             assert lhs <= bound * (1 + 1e-9) + 1e-9
 
 
-def test_norm_table_sorted_and_csv(scale2_spec):
-    f = LaurentOrePoly.one(scale2_spec)
-    rows = oc_star_norm_table(f, [2, 1], [Fraction(1, 2), 1])
-    assert [(float(l), float(r)) for l, r, _ in rows] == [
-        (1.0, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 1.0)
-    ]
-    text = norm_table_csv(rows)
-    assert text.splitlines()[0] == "lambda,rho,norm"
-    assert len(text.splitlines()) == 5
-    with pytest.raises(ValueError):
-        oc_star_norm_table(f, [], [1])
-
-
 # -- localizability probe ----------------------------------------------------
 
 
@@ -158,6 +144,18 @@ def test_probe_scale_direction_split(scale2_spec):
     assert report.forward.verdict == "growing"
     assert report.backward.verdict == "bounded"
     assert not report.family_bounded
+
+
+def test_probe_contracting_factors_bounded_forward():
+    # every |q_i| <= 1: alpha is bounded and alpha^-1 grows
+    half = Fraction(1, 2)
+    for spec, cap in ((BaseSpec("entire", ScaleAut(half)), 6),
+                      (BaseSpec("free", DiagonalAut((half, Fraction(1, 3)))), 4)):
+        (report,) = localizability_probe(spec, [1], cap)
+        assert report.forward.verdict == "bounded"
+        assert report.forward.constant == 1.0
+        assert report.backward.verdict == "growing"
+        assert not report.family_bounded
 
 
 def test_probe_diagonal_mixed(free_diag_spec):

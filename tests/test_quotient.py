@@ -303,6 +303,13 @@ def test_vanishing_rapid_decay_without_zero_tail(scale2_spec):
     assert report.verdict is Verdict.RAPID_DECAY_OBSERVED
 
 
+def test_vanishing_underflow_is_not_a_certificate(scale2_spec):
+    # |1|^{(w_k)} = 1 exactly; only the factor rho^(2k) underflows to 0.0
+    report = vanishing_test(scale2_spec, EntirePoly.one(), [1], [1e-200], 4)
+    assert report.verdict is Verdict.RAPID_DECAY_OBSERVED
+    assert all(value == 0.0 for *_, value in report.rows)
+
+
 def test_vanishing_upper_bounds_cannot_certify(free_diag_spec):
     with pytest.raises(CannotCertifyError):
         vanishing_test(free_diag_spec, FreeSeries({(0,): 1}), [1], [1], 12)

@@ -43,8 +43,11 @@ def test_mul_sets_truncated_flag(scale2_spec):
     product = mul(x1, x1)
     assert product.is_zero()
     assert product.truncated
+    # the norm of what the caps left is not a clean value
+    assert twisted_norm(product, 1, 1.0) == (0.0, Exactness.TRUNCATED)
     ok = mul(TwistedSeries.one(scale2_spec), x1)
     assert not ok.truncated
+    assert twisted_norm(ok, 1, 1.0) == (1.0, Exactness.EXACT)
 
 
 def test_word_validation(scale2_spec):
