@@ -58,7 +58,7 @@ class MismatchedBaseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparseElement:
     """A finitely supported map from keys to nonzero exact scalars.
 
@@ -139,6 +139,8 @@ class SparseElement:
 class _Polynomial(SparseElement):
     """Integer-keyed kinds: polynomials in z with non-negative degrees."""
 
+    __slots__ = ()
+
     def __post_init__(self):
         super().__post_init__()
         if self.coeffs and min(self.coeffs) < 0:
@@ -165,10 +167,13 @@ class _Polynomial(SparseElement):
 class EntirePoly(_Polynomial):
     """Polynomial in z with exact Gaussian-rational coefficients."""
 
+    __slots__ = ()
+
 
 class IntervalPoly(_Polynomial):
     """Real polynomial with exact rational coefficients."""
 
+    __slots__ = ()
     _scalar = Fraction
 
     def evaluate(self, x: Fraction) -> Fraction:
@@ -182,6 +187,7 @@ class FreeSeries(SparseElement):
     the constant term.
     """
 
+    __slots__ = ()
     _key = tuple
     _weight = staticmethod(len)
 

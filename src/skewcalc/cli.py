@@ -32,6 +32,7 @@ from .parsing import (
     parse_scalar,
 )
 from .quotient import (
+    CannotCertifyError,
     canonical_representative,
     ideal_member,
     phi,
@@ -156,9 +157,23 @@ def _norm(parsed, lam, rho) -> tuple[float, Exactness]:
     return laurent_series_norm(parsed, lam, rho), Exactness.EXACT
 
 
+# expression operands each command reads
+_OPERANDS = {
+    "mul": 2, "norm": 1, "qnorm": 1, "reduce": 1, "phi": 1, "ideal-test": 1,
+    "to-ore": 1, "localizability": 0, "vanishing": 0, "table": 1,
+}
+
+
 def run_command(args, config: SessionConfig, out=None) -> int:
     if out is None:
         out = sys.stdout
+    cmd = args.command
+    needed = _OPERANDS.get(cmd)
+    if needed is None:
+        raise UnsupportedCommand(f"unknown command {cmd!r}")
+    if len(args.exprs) != needed:
+        raise ValueError(f"{cmd} takes {needed} expression{'' if needed == 1 else 's'},"
+                         f" got {len(args.exprs)}")
     results = []  # every parsed input and product, checked once for truncation
 
     def parse(source: str):
@@ -166,7 +181,6 @@ def run_command(args, config: SessionConfig, out=None) -> int:
         results.append(parsed)
         return parsed
 
-    cmd = args.command
     if cmd == "mul":
         lhs, rhs = parse(args.exprs[0]), parse(args.exprs[1])
         if isinstance(lhs, TwistedSeries) != isinstance(rhs, TwistedSeries):
@@ -257,8 +271,6 @@ def run_command(args, config: SessionConfig, out=None) -> int:
                 value, exactness = _norm(parsed, lam, rho)
                 print(f"{float(lam)},{float(rho)},{_fmt_value(value)},{exactness.value}",
                       file=out)
-    else:
-        raise UnsupportedCommand(f"unknown command {cmd!r}")
     if any(getattr(obj, "truncated", False) for obj in results):
         print("warning: terms beyond the caps were dropped", file=sys.stderr)
     return 0
@@ -270,10 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Seminorm analytics for skew polynomial and twisted series algebras",
     )
     parser.add_argument("--config", metavar="PATH")
-    parser.add_argument("command", choices=[
-        "mul", "norm", "qnorm", "reduce", "phi", "ideal-test",
-        "to-ore", "localizability", "vanishing", "table",
-    ])
+    parser.add_argument("command", choices=list(_OPERANDS))
     parser.add_argument("exprs", nargs="*")
     parser.add_argument("--lambda", dest="lam", type=Fraction, default=Fraction(1))
     parser.add_argument("--rho", type=Fraction, default=Fraction(1))
@@ -302,6 +311,9 @@ def main(argv=None) -> int:
         return 2
     except (UnsupportedAutomorphism, UnsupportedCommand) as exc:
         print(f"unsupported configuration: {exc}", file=sys.stderr)
+        return 3
+    except CannotCertifyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

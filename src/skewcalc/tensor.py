@@ -26,7 +26,7 @@ def word_sort_key(w: Word):
     return (len(w), w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistedSeries:
     spec: BaseSpec
     terms: dict = field(default_factory=dict)

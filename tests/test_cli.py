@@ -265,6 +265,28 @@ def test_float_overflow_exit_code(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_vanishing_without_certificate_exit_code(capsys, tmp_path):
+    # free base, diagonal action: only nonzero upper bounds are available
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text("base = free(2)\nautomorphism = diagonal\nq = 2, 1/2\n")
+    code, out, err = run(capsys, ["--config", str(cfg), "vanishing", "--r", "1"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_operand_count_exit_code(capsys):
+    for argv, message in ((["norm"], "norm takes 1 expression, got 0"),
+                          (["mul", "x1"], "mul takes 2 expressions, got 1"),
+                          (["qnorm"], "qnorm takes 1 expression, got 0"),
+                          # a surplus operand is not silently dropped either
+                          (["mul", "x1", "x2", "x1"], "mul takes 2 expressions, got 3"),
+                          (["vanishing", "x1"], "vanishing takes 0 expressions, got 1")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: {message}"
+
+
 def test_bad_rho_exit_code(capsys, scale2_cfg):
     code, _, err = run(capsys, ["--config", scale2_cfg, "norm", "z*x1", "--rho", "0"])
     assert code == 2
