@@ -16,6 +16,15 @@ Each kind also declares the weight of a key (z^m weighs m, a word v
 weighs |v|); the entire and free bases share the weighted seminorm
 sum(|c_k| rho^weight(k)) of :func:`weighted_seminorm`.
 
+Elements are built in one of two ways.  The public constructor validates
+its input: it coerces every key and coefficient to the kind's types, drops
+zero coefficients and, for polynomials, rejects negative degrees.  Results
+of arithmetic (``+ - *``, negation, ``scale``, the automorphisms,
+``derivative`` and ``shift_argument``) are already clean, so they are
+wrapped by the private ``SparseElement._trusted`` without another pass;
+each such operation drops the zeros its sums produce itself.  Combining
+elements of two different kinds raises :class:`MismatchedBaseError`.
+
 A :class:`BaseSpec` bundles an element kind with an automorphism and
 exposes seminorms and per-word twisted seminorms.  Closed forms (exact)
 are used where available; everywhere else a certified upper bound is
@@ -35,6 +44,7 @@ from .words import (
     Interval,
     Word,
     extremal_twists,
+    interval,
     partial_sums,
 )
 
@@ -67,7 +77,8 @@ class SparseElement:
     (``_weight``).  Keys form a monoid under ``+`` whose unit is
     ``_key()``: int degrees add and tuples of generator indices
     concatenate, so one product loop serves every kind.  Elements of
-    different kinds never compare equal.
+    different kinds never compare equal, and combining them raises
+    :class:`MismatchedBaseError`.
     """
 
     coeffs: dict = field(default_factory=dict)
@@ -86,6 +97,18 @@ class SparseElement:
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
+    def _trusted(cls, coeffs: dict):
+        """Wrap a dict that is already clean, skipping ``__post_init__``.
+
+        The caller guarantees that every key has the kind's key type and
+        every value is a nonzero scalar of the kind's field; the dict is
+        kept, not copied.
+        """
+        el = _new(cls)
+        _set_coeffs(el, coeffs)
+        return el
+
+    @classmethod
     def monomial(cls, c, key=None):
         return cls({cls._key() if key is None else key: c})
 
@@ -97,20 +120,34 @@ class SparseElement:
     def one(cls):
         return cls({cls._key(): 1})
 
+    def _check_kind(self, other):
+        if isinstance(other, SparseElement):
+            raise MismatchedBaseError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+
     def __add__(self, other):
+        if type(other) is not type(self):
+            self._check_kind(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return type(self)(out)
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return self._trusted(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.coeffs.items()})
+        return self._trusted({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if type(other) is not type(self):
+            self._check_kind(other)
             return self.scale(other)
         out: dict = {}
         for k1, c1 in self.coeffs.items():
@@ -118,13 +155,16 @@ class SparseElement:
                 k = k1 + k2
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
-        return type(self)(out)
+        # products of nonzero scalars are nonzero, but their sums can cancel
+        return self._trusted({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = self._scalar(c)
-        return type(self)({k: c * v for k, v in self.coeffs.items()})
+        if not c:
+            return self._trusted({})
+        return self._trusted({k: c * v for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -134,6 +174,10 @@ class SparseElement:
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
+
+
+_new = object.__new__
+_set_coeffs = SparseElement.coeffs.__set__  # the slot, past the frozen __setattr__
 
 
 class _Polynomial(SparseElement):
@@ -150,7 +194,7 @@ class _Polynomial(SparseElement):
         return max(self.coeffs, default=0)
 
     def derivative(self):
-        return type(self)({m - 1: c * m for m, c in self.coeffs.items() if m > 0})
+        return self._trusted({m - 1: c * m for m, c in self.coeffs.items() if m > 0})
 
     def shift_argument(self, s: Fraction):
         """Exact substitution z -> z - s via binomial expansion."""
@@ -161,7 +205,8 @@ class _Polynomial(SparseElement):
             for j in range(m + 1):
                 coeff = c * (math.comb(m, j) * (-s) ** (m - j))
                 out[j] = out[j] + coeff if j in out else coeff
-        return type(self)(out)
+        # terms cancel across degrees, and s = 0 makes every lower term zero
+        return self._trusted({j: c for j, c in out.items() if c})
 
 
 class EntirePoly(_Polynomial):
@@ -227,7 +272,11 @@ class ScaleAut:
     def apply(self, el: EntirePoly, k: int) -> EntirePoly:
         if k == 0:
             return el
-        return type(el)({m: (self.q ** (k * m)) * c for m, c in el.coeffs.items()})
+        if type(el) is not EntirePoly:
+            # only EntirePoly has degrees for keys and Gaussian coefficients
+            raise TypeError(f"the scaling automorphism acts on EntirePoly, not {type(el).__name__}")
+        q = self.q
+        return el._trusted({m: (q ** (k * m)) * c for m, c in el.coeffs.items()})
 
     def inverse(self) -> "ScaleAut":
         return ScaleAut(self.q.inverse())
@@ -280,7 +329,7 @@ class DiagonalAut:
             for i in v:
                 c = c * qk[i]
             out[v] = c
-        return type(el)(out)
+        return el._trusted(out)
 
     def inverse(self) -> "DiagonalAut":
         return DiagonalAut(tuple(q.inverse() for q in self.qs))
@@ -523,21 +572,8 @@ class BaseSpec:
         return self._slot_upper_bound(el, w, lam), Exactness.UPPER_BOUND
 
     def _shift_window(self, w: Word, lam):
-        """[-n, n] shifted by p * step for each slot twist p, intersected.
-
-        The intersection is [-n + s_max, n + s_min] over the extremal
-        shifts s, or Empty when it inverts; a negative step swaps which
-        extremal twist gives which end.
-        """
-        n = Fraction(lam)
-        if n <= 0:
-            raise ValueError("half-width n must be positive")
-        k_min, k_max = extremal_twists(w)
-        s_min, s_max = sorted((k_min * self.aut.step, k_max * self.aut.step))
-        lo, hi = -n + s_max, n + s_min
-        if lo > hi:
-            return EMPTY_INTERVAL
-        return Interval(lo, hi)
+        """The window of w at half-width lam: see :func:`words.interval`."""
+        return interval(w, lam, step=self.aut.step)
 
     def _twisted_entire_scale(self, el, w, lam):
         if self.aut.abs_is_one():

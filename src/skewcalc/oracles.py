@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bases import BaseSpec, generic_twisted_upper_bound, i_w_apply
+from .bases import BaseSpec, generic_twisted_upper_bound
 from .scalars import GaussianRational
 from .tensor import TwistedSeries, mul, twisted_norm
 from .words import Word, all_words, partial_sums
@@ -36,11 +36,33 @@ def _slot_decompositions(spec: BaseSpec, f, w: Word):
     return out
 
 
+def _monomial_gamma(spec: BaseSpec, sums: list, coeffs, exponents) -> GaussianRational:
+    """Top coefficient of the slot product of monomials c_i z^(e_i).
+
+    alpha^p maps c z^e to c q^(p e) z^e under scaling, and to c (z - p s)^e,
+    whose top coefficient is c, under a shift or the identity; so the
+    product's z^(sum e_i) coefficient is prod c_i, times q^(sum p_i e_i)
+    under scaling, where p_i = sums[i] is the twist of slot i.
+    """
+    gamma = coeffs[0]
+    for c in coeffs[1:]:
+        gamma = gamma * c
+    if spec.aut.kind == "scale":
+        gamma = gamma * spec.aut.q ** sum(p * e for p, e in zip(sums, exponents))
+    return gamma
+
+
 def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBudget):
-    if spec.kind != "entire" or len(f.coeffs) != 1:
+    # a product of monomial factors is a monomial only where the
+    # automorphism keeps monomials monomials: a shift spreads c z^e over
+    # lower degrees, which the top coefficient alone cannot cancel
+    if spec.kind != "entire" or spec.aut.kind == "shift" or len(f.coeffs) != 1:
         return []
     rng = random.Random(budget.seed)
     (degree, coeff), = f.coeffs.items()
+    grid = [GaussianRational.of(c) for c in budget.coeff_grid]
+    monomial = spec.element_type._trusted
+    sums = partial_sums(w)
     out = []
     for _ in range(budget.max_samples):
         exponents = [0] * len(w)
@@ -49,15 +71,12 @@ def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBu
             exponents[i] = rng.randint(0, remaining)
             remaining -= exponents[i]
         exponents[-1] = remaining
-        factors = []
-        for i, e in enumerate(exponents):
-            c = rng.choice(budget.coeff_grid)
-            factors.append(spec.monomial(c, e))
-        probe = i_w_apply(spec, w, tuple(factors))
-        gamma = probe.coeffs.get(degree, GaussianRational())
+        coeffs = [rng.choice(grid) for _ in exponents]
+        gamma = _monomial_gamma(spec, sums, coeffs, exponents)
         if not gamma:
-            continue
-        factors[-1] = factors[-1].scale(coeff / gamma)
+            continue  # a zero on the grid: the factors cannot reach f
+        coeffs[-1] = coeffs[-1] * (coeff / gamma)
+        factors = [monomial({e: c}) for c, e in zip(coeffs, exponents)]
         out.append([tuple(factors)])
         # occasionally split into a two-term decomposition
         if rng.random() < 0.25:

@@ -143,12 +143,13 @@ class GaussianRational:
             return self.inverse() ** (-k)
         result = _ONE
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def abs2(self) -> Fraction:
         """|q|^2 as an exact rational."""

@@ -9,11 +9,16 @@ the right coefficient by the winding of the left word:
 Truncation caps (max word length L, max base degree D) are explicit;
 products that overflow them drop terms and set the ``truncated`` flag
 instead of raising.
+
+The public constructor checks every word and every term against the
+caps.  Results of arithmetic (``+``, negation, ``scale`` and :func:`mul`)
+meet the caps already and go through the private ``_derived`` instead,
+which only drops the zero terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .bases import BaseSpec, Exactness, MismatchedBaseError
 from .words import Word, check_word, winding
@@ -45,6 +50,20 @@ class TwistedSeries:
             cleaned[w] = a
         object.__setattr__(self, "terms", cleaned)
 
+    def _derived(self, terms: dict, truncated: bool) -> "TwistedSeries":
+        """A series with this one's spec and caps, skipping ``__post_init__``.
+
+        The caller guarantees that every word is checked and every term
+        meets the caps; zero terms are dropped here.
+        """
+        out = _new(TwistedSeries)
+        _set_spec(out, self.spec)
+        _set_terms(out, {w: a for w, a in terms.items() if a.coeffs})
+        _set_max_word_len(out, self.max_word_len)
+        _set_max_degree(out, self.max_degree)
+        _set_truncated(out, truncated)
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -74,16 +93,20 @@ class TwistedSeries:
         out = dict(self.terms)
         for w, a in other.terms.items():
             out[w] = out[w] + a if w in out else a
-        return replace(self, terms=out, truncated=self.truncated or other.truncated)
+        truncated = self.truncated or other.truncated
+        if other.max_word_len > self.max_word_len or other.max_degree > self.max_degree:
+            # the sum keeps this series' caps, which other's terms may exceed
+            return TwistedSeries(self.spec, out, self.max_word_len, self.max_degree, truncated)
+        return self._derived(out, truncated)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return replace(self, terms={w: -a for w, a in self.terms.items()})
+        return self._derived({w: -a for w, a in self.terms.items()}, self.truncated)
 
     def scale(self, c) -> "TwistedSeries":
-        return replace(self, terms={w: a.scale(c) for w, a in self.terms.items()})
+        return self._derived({w: a.scale(c) for w, a in self.terms.items()}, self.truncated)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -108,6 +131,15 @@ class TwistedSeries:
         return self.terms.get(tuple(w), self.spec.zero())
 
 
+_new = object.__new__
+# the slots, past the frozen __setattr__
+_set_spec = TwistedSeries.spec.__set__
+_set_terms = TwistedSeries.terms.__set__
+_set_max_word_len = TwistedSeries.max_word_len.__set__
+_set_max_degree = TwistedSeries.max_degree.__set__
+_set_truncated = TwistedSeries.truncated.__set__
+
+
 def mul(f: TwistedSeries, g: TwistedSeries) -> TwistedSeries:
     """Exact product; cap-exceeding terms are dropped with the flag set."""
     f._check(g)
@@ -124,7 +156,7 @@ def mul(f: TwistedSeries, g: TwistedSeries) -> TwistedSeries:
                     truncated = True
                 continue
             out[w] = out[w] + term if w in out else term
-    return replace(f, terms=out, truncated=truncated)
+    return f._derived(out, truncated)
 
 
 def twisted_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:

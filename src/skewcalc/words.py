@@ -107,13 +107,20 @@ class _Empty:
 EMPTY_INTERVAL = _Empty()
 
 
-def interval(w: Word, n, extended: bool = True):
-    """The window [-n + k_max(w), n + k_min(w)], or Empty when it inverts."""
+def interval(w: Word, n, extended: bool = True, step=1):
+    """[-n, n] shifted by p * step for each slot twist p, intersected.
+
+    The intersection is [-n + s_max, n + s_min] over the extremal shifts
+    s = k_min * step and k_max * step, or Empty when it inverts; a
+    negative step swaps which extremal twist gives which end.  At step 1
+    it is [-n + k_max(w), n + k_min(w)].
+    """
     n = Fraction(n)
     if n <= 0:
         raise ValueError("half-width n must be positive")
     k_min, k_max = extremal_twists(w, extended=extended)
-    lo, hi = -n + k_max, n + k_min
+    s_min, s_max = sorted((k_min * step, k_max * step))
+    lo, hi = -n + s_max, n + s_min
     if lo > hi:
         return EMPTY_INTERVAL
     return Interval(lo, hi)

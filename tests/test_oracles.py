@@ -1,7 +1,14 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from skewcalc import (
+    BaseSpec,
     EntirePoly,
+    GaussianRational,
+    ScaleAut,
     SearchBudget,
     TwistedSeries,
     bruteforce_twisted_norm,
@@ -11,9 +18,11 @@ from skewcalc import (
     slice_quotient_norm,
     twisted_norm,
 )
-from skewcalc.words import extremal_twists, winding
+from skewcalc.bases import i_w_apply
+from skewcalc.oracles import _monomial_gamma, _random_monomial_decompositions
+from skewcalc.words import all_words, extremal_twists, partial_sums, winding
 
-from conftest import rand_entire, rand_series, rand_word
+from conftest import q_of, rand_entire, rand_series, rand_word
 
 CAPS = dict(max_word_len=24, max_degree=32)
 
@@ -38,14 +47,88 @@ def test_bruteforce_empty_word_is_base_norm(scale2_spec):
     assert value == scale2_spec.seminorm(f, 1)
 
 
-def test_bruteforce_deterministic(rng, scale2_spec):
+def test_bruteforce_on_shift_base_is_the_slot_bound(shift_entire_spec):
+    # sampled monomial factors cannot reconstruct a monomial under a shift;
+    # the search keeps the slot placements, the same bound the base gives
+    budget = SearchBudget(max_samples=40, seed=5)
+    for f in (EntirePoly({1: 1}), EntirePoly({3: -2})):
+        for w in ((1, 2), (2, 1, 1), (1, 1, 2, 2)):
+            bound, _ = shift_entire_spec.twisted_seminorm(f, w, 1)
+            assert bruteforce_twisted_norm(shift_entire_spec, f, w, 1, budget) == bound
+
+
+def test_bruteforce_deterministic(rng, scale2_spec, shift_entire_spec):
     budget = SearchBudget(max_samples=80, seed=11)
-    for _ in range(10):
-        w = rand_word(rng, 4, min_len=1)
-        f = rand_entire(rng)
-        a = bruteforce_twisted_norm(scale2_spec, f, w, 1, budget)
-        b = bruteforce_twisted_norm(scale2_spec, f, w, 1, budget)
-        assert a == b
+    for spec in (scale2_spec, shift_entire_spec):
+        for _ in range(10):
+            w = rand_word(rng, 4, min_len=1)
+            f = rand_entire(rng)
+            a = bruteforce_twisted_norm(spec, f, w, 1, budget)
+            b = bruteforce_twisted_norm(spec, f, w, 1, budget)
+            assert a == b
+
+
+def _scale_specs():
+    qs = (q_of(2), q_of("1/2"), q_of("3/2"), GaussianRational(1, 1))
+    return [BaseSpec("entire", ScaleAut(q)) for q in qs]
+
+
+def test_gamma_from_exponents_equals_probe(shift_entire_spec, identity_entire_spec):
+    # the top coefficient of the slot product of monomials, read off the
+    # exponents, against the slot product itself
+    grid = [GaussianRational(*c) for c in ((1, 0), (-1, 0), (Fraction(1, 2), 0), (3, 0), (0, 1), (1, -2))]
+    for spec in _scale_specs() + [shift_entire_spec, identity_entire_spec]:
+        for w in all_words(4):
+            if not w:
+                continue
+            sums = partial_sums(w)
+            for degree in range(5):
+                for cut in itertools.combinations(range(degree + len(w) - 1), len(w) - 1):
+                    # the exponents of one composition of degree into |w| parts
+                    bounds = (-1,) + cut + (degree + len(w) - 1,)
+                    exponents = [b - a - 1 for a, b in zip(bounds, bounds[1:])]
+                    coeffs = [grid[(i + degree + len(cut)) % len(grid)] for i in range(len(w))]
+                    factors = tuple(EntirePoly({e: c}) for c, e in zip(coeffs, exponents))
+                    probe = i_w_apply(spec, w, factors).coeffs[degree]
+                    assert _monomial_gamma(spec, sums, coeffs, exponents) == probe, (spec, w, exponents)
+
+
+def _probe_decompositions(spec, f, w, budget):
+    """The sampled decompositions with gamma probed by a slot product."""
+    rng = random.Random(budget.seed)
+    (degree, coeff), = f.coeffs.items()
+    out = []
+    for _ in range(budget.max_samples):
+        exponents = [0] * len(w)
+        remaining = degree
+        for i in range(len(w) - 1):
+            exponents[i] = rng.randint(0, remaining)
+            remaining -= exponents[i]
+        exponents[-1] = remaining
+        factors = [spec.monomial(rng.choice(budget.coeff_grid), e) for e in exponents]
+        gamma = i_w_apply(spec, w, tuple(factors)).coeffs.get(degree, GaussianRational())
+        if not gamma:
+            continue
+        factors[-1] = factors[-1].scale(coeff / gamma)
+        out.append([tuple(factors)])
+        if rng.random() < 0.25:
+            t = Fraction(rng.randint(1, 3), 4)
+            left = [tuple(x.scale(t) if i == 0 else x for i, x in enumerate(factors))]
+            right = [tuple(x.scale(1 - t) if i == 0 else x for i, x in enumerate(factors))]
+            out.append(left + right)
+    return out
+
+
+def test_sampled_decompositions_match_probe(rng, identity_entire_spec):
+    # the same random draws in the same order as with gamma probed
+    grids = [SearchBudget().coeff_grid, (Fraction(0), Fraction(1), Fraction(-3, 2))]
+    for spec in _scale_specs() + [identity_entire_spec]:
+        for seed, grid in enumerate(grids * 3):
+            budget = SearchBudget(max_samples=30, seed=seed, coeff_grid=grid)
+            w = rand_word(rng, 4, min_len=1)
+            f = EntirePoly({rng.randint(0, 4): GaussianRational(*rng.choice(((1, 0), (Fraction(-1, 3), 2))))})
+            expected = _probe_decompositions(spec, f, w, budget)
+            assert _random_monomial_decompositions(spec, f, w, budget) == expected
 
 
 def test_slice_quotient_norm_upper_bounds_quotient(rng, scale2_spec):
