@@ -122,6 +122,14 @@ def load_config(path: str | None) -> SessionConfig:
     return _build_config(values)
 
 
+def _fraction(text: str) -> Fraction:
+    """An option's exact value; a zero denominator is as invalid as bad syntax."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _grid(text: str | None, fallback):
     if text is None:
         return fallback
@@ -217,8 +225,10 @@ def run_command(args, config: SessionConfig, out=None) -> int:
             dropped = ", ".join(f"(m={m}, n={n})" for m, n in sorted(rep.dropped))
             print(f"dropped classes: {dropped}", file=out)
     elif cmd == "phi":
+        if (args.m is None) != (args.n is None):
+            raise ValueError("phi takes --m and --n together, or neither")
         series = _require_series(parse(args.exprs[0]), "phi")
-        if args.m is not None and args.n is not None:
+        if args.m is not None:
             print(str(phi(series, args.m, args.n)), file=out)
         else:
             table = phi_table(series)
@@ -234,7 +244,9 @@ def run_command(args, config: SessionConfig, out=None) -> int:
         print(format_element(reduce_to_ore(series)), file=out)
     elif cmd == "localizability":
         lams = _grid(args.lambda_grid, [args.lam])
-        reports = localizability_probe(config.spec, lams, args.depth or 8)
+        reports = localizability_probe(
+            config.spec, lams, 8 if args.depth is None else args.depth
+        )
         for report in reports:
             fwd, bwd = report.forward, report.backward
             print(
@@ -253,7 +265,9 @@ def run_command(args, config: SessionConfig, out=None) -> int:
         r = _base_element(parse(args.r if args.r is not None else "1"))
         lams = _grid(args.lambda_grid, [args.lam])
         rhos = _grid(args.rho_grid, [args.rho])
-        report = vanishing_test(config.spec, r, lams, rhos, args.depth or 12)
+        report = vanishing_test(
+            config.spec, r, lams, rhos, 12 if args.depth is None else args.depth
+        )
         if args.format == "csv":
             out.write(report.to_csv())
         else:
@@ -284,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH")
     parser.add_argument("command", choices=list(_OPERANDS))
     parser.add_argument("exprs", nargs="*")
-    parser.add_argument("--lambda", dest="lam", type=Fraction, default=Fraction(1))
-    parser.add_argument("--rho", type=Fraction, default=Fraction(1))
+    parser.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1))
+    parser.add_argument("--rho", type=_fraction, default=Fraction(1))
     parser.add_argument("--lambda-grid", dest="lambda_grid")
     parser.add_argument("--rho-grid", dest="rho_grid")
     parser.add_argument("--depth", type=int)
@@ -297,8 +311,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """The parsed command line; options and operands may come in any order.
+
+    ``parse_known_args`` returns, in argv order, the tokens that neither an
+    option nor a positional took: operands after an option, and operands
+    that start with '-'.  They follow ``args.exprs``.  Among them, a token
+    that starts with '--' is an unknown option unless a '--' came before
+    it, and a token that came before the command is rejected, since it
+    would be read after the operands that follow the command.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, rest = _PARSER.parse_known_args(argv)
+    if rest:
+        args.exprs += _leftover_operands(argv, args, rest)
+    return args
+
+
+def _leftover_operands(argv, args: argparse.Namespace, rest: list) -> list:
+    # the leftovers must come after the command and the operands argparse
+    # gave it; membership on the iterator consumes it, so this checks that
+    # rest is a subsequence of what follows them in argv
+    start = 0
+    for token in (args.command, *args.exprs):
+        start = argv.index(token, start) + 1
+    after_exprs = iter(argv[start:])
+    operands, unknown = [], []
+    separated = False
+    for token in rest:
+        if token not in after_exprs:
+            unknown.append(token)
+        elif separated:
+            operands.append(token)
+        elif token == "--":
+            separated = True
+        elif token.startswith("--"):
+            unknown.append(token)
+        else:
+            operands.append(token)
+    if unknown:
+        _PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return operands
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         config = load_config(args.config)
     except (ConfigError, OSError) as exc:

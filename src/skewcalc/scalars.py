@@ -20,7 +20,10 @@ from fractions import Fraction
 
 _gcd = math.gcd
 _new = object.__new__
-_EXACT = (int, Fraction)  # types whose as_integer_ratio() is in lowest terms
+# Types whose as_integer_ratio() is in lowest terms, and the only other
+# operands + - * accept; any other type gets NotImplemented, so that its
+# own reflected method answers (a scalar times an element, say).
+_EXACT = (int, Fraction)
 
 # Scalars built by the constructor (input coefficients, parsed literals,
 # int and Fraction operands) are shared per value; results of arithmetic
@@ -80,6 +83,8 @@ class GaussianRational:
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational(other)
         d, e = self._d, other._d
         if d == e:
@@ -90,6 +95,8 @@ class GaussianRational:
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational(other)
         d, e = self._d, other._d
         if d == e:
@@ -104,6 +111,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational(other)
         a, b, d = self._a, self._b, self._d
         c, f, e = other._a, other._b, other._d

@@ -1,5 +1,6 @@
 import pytest
 
+from skewcalc import cli
 from skewcalc.cli import main
 
 SCALE2_CFG = "base = entire\nautomorphism = scale\nq = 2\n"
@@ -136,6 +137,14 @@ def test_phi_outputs(capsys, scale2_cfg):
     code, out, _ = run(capsys, ["--config", scale2_cfg, "phi", "z*x1 + x2"])
     assert code == 0
     assert out.splitlines() == ["phi(0,-1) = 1", "phi(1,1) = 1"]
+
+
+def test_phi_needs_both_indices(capsys):
+    # a lone --m or --n used to print the whole table
+    for flag in ("--m", "--n"):
+        code, out, err = run(capsys, ["phi", "z*x1", flag, "1"])
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: phi takes --m and --n together, or neither"
 
 
 def test_to_ore(capsys, scale2_cfg):
@@ -290,3 +299,90 @@ def test_operand_count_exit_code(capsys):
 def test_bad_rho_exit_code(capsys, scale2_cfg):
     code, _, err = run(capsys, ["--config", scale2_cfg, "norm", "z*x1", "--rho", "0"])
     assert code == 2
+
+
+def test_bad_fraction_option_exit_code(capsys):
+    # a zero denominator used to escape argparse as a ZeroDivisionError
+    for flag in ("--rho", "--lambda"):
+        for value in ("1/0", "abc"):
+            with pytest.raises(SystemExit) as exc:
+                main(["norm", "x1", flag, value])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2
+            assert f"argument {flag}: invalid Fraction value: {value!r}" in err
+            assert "Traceback" not in err
+
+
+def test_depth_zero_is_not_the_default(capsys):
+    # an explicit 0 used to fall back to the default depth
+    for argv, message in ((["vanishing", "--r", "1", "--depth", "0"], "depth must be at least 1"),
+                          (["localizability", "--depth", "0"], "degree cap must be at least 1")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: {message}"
+        negative = argv[:-1] + ["-1"]
+        assert run(capsys, negative) == (code, out, err)
+
+
+# -- argument order ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["norm", "--rho", "2", "z*x1"], "2.0 (exact)"),
+    (["--rho", "2", "norm", "z*x1"], "2.0 (exact)"),
+    (["norm", "z*x1", "--rho", "2"], "2.0 (exact)"),
+    (["mul", "x1", "--rho", "2", "x2"], "x1*x2"),
+    (["mul", "--rho", "2", "x1", "x2"], "x1*x2"),
+    (["norm", "-z^4*x1"], "1.0 (exact)"),
+    (["norm", "-z^4*x1", "--rho", "2"], "2.0 (exact)"),
+    (["norm", "--rho", "2", "--", "-z^4*x1"], "2.0 (exact)"),
+    (["mul", "-x1", "x2"], "(-1)*x1*x2"),
+    (["mul", "x2", "-x1"], "(-1)*x2*x1"),
+    (["mul", "--", "-x1", "x2"], "(-1)*x1*x2"),
+    (["norm", "x1", "--rho", "2", "--"], "2.0 (exact)"),
+])
+def test_options_and_operands_in_any_order(capsys, argv, expected):
+    code, out, err = run(capsys, argv)
+    assert (code, out.strip(), err) == (0, expected, "")
+
+
+def test_unknown_option_is_still_rejected(capsys):
+    for argv in (["norm", "z*x1", "--rhoo", "2"], ["norm", "--rhoo", "2", "z*x1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rhoo" in capsys.readouterr().err
+
+
+def test_operand_before_the_command_is_rejected(capsys):
+    # it would otherwise be read after the operands that follow the command,
+    # also where an option's value repeats the command's name
+    for argv in (["-x1", "mul", "x2"], ["--r", "mul", "-x1", "mul", "x2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -x1" in capsys.readouterr().err
+
+
+def test_everything_after_the_separator_is_an_operand(capsys):
+    for argv, got in ((["norm", "--", "-z", "--rho", "2"], 3),
+                      (["norm", "x1", "--rho", "2", "--", "--rho"], 2),
+                      (["norm", "x1", "--", "--", "x2"], 3)):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: norm takes 1 expression, got {got}"
+
+
+def test_parser_is_built_once(capsys, monkeypatch, scale2_cfg):
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    base = ["--config", scale2_cfg, "qnorm", "z*x1", "--rho", "3/2"]
+    assert run(capsys, base) == (0, "0.84375\n", "")
+    # consecutive calls share no option value: each falls back to the defaults
+    first = cli._parse_args(["qnorm", "x1", "--paper-display", "--rho", "2", "--depth", "3"])
+    second = cli._parse_args(["qnorm", "x1"])
+    assert (first.paper_display, first.rho, first.depth) == (True, 2, 3)
+    assert (second.paper_display, second.rho, second.depth) == (False, 1, None)
+    assert second.exprs == ["x1"]

@@ -131,6 +131,36 @@ def test_mixing_kinds_raises(left, right, op):
         {"add": lambda: a + b, "sub": lambda: a - b, "mul": lambda: a * b}[op]()
 
 
+# -- scalars with other operands ----------------------------------------------
+
+
+def test_scalar_times_element_from_either_side():
+    # the scalar leaves an operand it does not know to the element's __rmul__
+    g = GaussianRational(2)
+    for kind, key in ((EntirePoly, 1), (FreeSeries, (0,))):
+        el = kind({key: 1})
+        assert g * el == el * g == kind({key: 2})
+        assert_clean(g * el, kind)
+
+
+def test_scalar_operands():
+    g = GaussianRational(2)
+    assert g * 3 == 3 * g == GaussianRational(6)
+    assert g * Fraction(1, 2) == Fraction(1, 2) * g == GaussianRational(1)
+    assert g + 1 == 1 + g == GaussianRational(3)
+    assert g - Fraction(1, 2) == GaussianRational(Fraction(3, 2))
+    assert g * GaussianRational(0, 1) == GaussianRational(0, 2)
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+def test_scalar_declines_unknown_operands(op):
+    g = GaussianRational(2)
+    for other in (EntirePoly({1: 1}), object(), "2"):
+        assert getattr(g, op)(other) is NotImplemented
+    with pytest.raises(TypeError):
+        g + object()
+
+
 # -- series -------------------------------------------------------------------
 
 CAPS = dict(max_word_len=6, max_degree=8)
