@@ -37,6 +37,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 from .scalars import GaussianRational
 from .words import (
@@ -247,7 +248,7 @@ class FreeSeries(SparseElement):
 
 @dataclass(frozen=True)
 class IdentityAut:
-    kind: str = "identity"
+    kind: ClassVar[str] = "identity"
 
     def apply(self, el, k: int):
         return el
@@ -261,7 +262,7 @@ class ScaleAut:
     """z -> q z on coefficients of EntirePoly: c_m -> q^{km} c_m."""
 
     q: GaussianRational
-    kind: str = "scale"
+    kind: ClassVar[str] = "scale"
 
     def __post_init__(self):
         q = GaussianRational.of(self.q)
@@ -293,7 +294,7 @@ class ShiftAut:
     """f(z) -> f(z - step); the inverse shifts the other way."""
 
     step: Fraction = Fraction(1)
-    kind: str = "shift"
+    kind: ClassVar[str] = "shift"
 
     def __post_init__(self):
         object.__setattr__(self, "step", Fraction(self.step))
@@ -312,7 +313,7 @@ class DiagonalAut:
     """Diagonal action on FreeSeries: generator i is scaled by qs[i]."""
 
     qs: tuple
-    kind: str = "diagonal"
+    kind: ClassVar[str] = "diagonal"
 
     def __post_init__(self):
         qs = tuple(GaussianRational.of(q) for q in self.qs)
@@ -339,7 +340,7 @@ class DiagonalAut:
 class PolyDerivation:
     """d/dz on polynomial elements; an alpha-derivation only for alpha=id."""
 
-    kind: str = "ddz"
+    kind: ClassVar[str] = "ddz"
 
     def apply(self, el):
         return el.derivative()

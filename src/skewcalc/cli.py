@@ -171,6 +171,17 @@ _OPERANDS = {
     "to-ore": 1, "localizability": 0, "vanishing": 0, "table": 1,
 }
 
+# options each command reads besides --config; naming another is an error
+_OPTIONS = {
+    "mul": (), "norm": ("--lambda", "--rho"),
+    "qnorm": ("--lambda", "--rho", "--paper-display"), "reduce": ("--rho",),
+    "phi": ("--m", "--n"), "ideal-test": (), "to-ore": (),
+    "localizability": ("--lambda", "--lambda-grid", "--depth"),
+    "vanishing": ("--lambda", "--rho", "--lambda-grid", "--rho-grid", "--depth", "--r",
+                  "--format"),
+    "table": ("--lambda", "--rho", "--lambda-grid", "--rho-grid"),
+}
+
 
 def run_command(args, config: SessionConfig, out=None) -> int:
     if out is None:
@@ -182,6 +193,9 @@ def run_command(args, config: SessionConfig, out=None) -> int:
     if len(args.exprs) != needed:
         raise ValueError(f"{cmd} takes {needed} expression{'' if needed == 1 else 's'},"
                          f" got {len(args.exprs)}")
+    unread = [flag for flag in args.given if flag not in _OPTIONS[cmd]]
+    if unread:
+        raise ValueError(f"{cmd} does not read {', '.join(unread)}")
     results = []  # every parsed input and product, checked once for truncation
 
     def parse(source: str):
@@ -290,7 +304,9 @@ def run_command(args, config: SessionConfig, out=None) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The parser, and the flag of each command option by its name on the
+    parsed namespace."""
     parser = argparse.ArgumentParser(
         prog="skewcalc",
         description="Seminorm analytics for skew polynomial and twisted series algebras",
@@ -298,20 +314,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH")
     parser.add_argument("command", choices=list(_OPERANDS))
     parser.add_argument("exprs", nargs="*")
-    parser.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1))
-    parser.add_argument("--rho", type=_fraction, default=Fraction(1))
-    parser.add_argument("--lambda-grid", dest="lambda_grid")
-    parser.add_argument("--rho-grid", dest="rho_grid")
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--r")
-    parser.add_argument("--paper-display", action="store_true")
-    parser.add_argument("--format", choices=["text", "csv"], default="text")
-    return parser
+    # no defaults here: an option left at None was not given (see _parse_args)
+    options = [
+        parser.add_argument("--lambda", dest="lam", type=_fraction),
+        parser.add_argument("--rho", type=_fraction),
+        parser.add_argument("--lambda-grid", dest="lambda_grid"),
+        parser.add_argument("--rho-grid", dest="rho_grid"),
+        parser.add_argument("--depth", type=int),
+        parser.add_argument("--m", type=int),
+        parser.add_argument("--n", type=int),
+        parser.add_argument("--r"),
+        parser.add_argument("--paper-display", action="store_true", default=None),
+        parser.add_argument("--format", choices=["text", "csv"]),
+    ]
+    return parser, {option.dest: option.option_strings[0] for option in options}
 
 
-_PARSER = _build_parser()
+_PARSER, _FLAGS = _build_parser()
+_DEFAULTS = {"lam": Fraction(1), "rho": Fraction(1), "paper_display": False, "format": "text"}
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
@@ -322,12 +342,18 @@ def _parse_args(argv=None) -> argparse.Namespace:
     that start with '-'.  They follow ``args.exprs``.  Among them, a token
     that starts with '--' is an unknown option unless a '--' came before
     it, and a token that came before the command is rejected, since it
-    would be read after the operands that follow the command.
+    would be read after the operands that follow the command.  The flags
+    of the command options given go to ``args.given``, before the options
+    not given take their ``_DEFAULTS``.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args, rest = _PARSER.parse_known_args(argv)
     if rest:
         args.exprs += _leftover_operands(argv, args, rest)
+    args.given = [flag for dest, flag in _FLAGS.items() if getattr(args, dest) is not None]
+    for dest, value in _DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     return args
 
 

@@ -19,11 +19,12 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bases import BaseSpec, Exactness, UnsupportedAutomorphism
+from .bases import BaseSpec, EntirePoly, Exactness, ScaleAut, UnsupportedAutomorphism
 from .scalars import GaussianRational
 from .tensor import TwistedSeries, twisted_norm
 from .words import canonical_word, counts, winding
 from .ore import LaurentOrePoly
+from .parsing import format_ore
 
 
 def _require_entire(f: TwistedSeries):
@@ -231,22 +232,13 @@ class QuotientClass:
         return QuotientClass(f.spec.aut.q, phi_table(f))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m, n in sorted(self.coeffs):
-            c = self.coeffs[(m, n)]
-            factors = []
-            cstr = str(c)
-            if ("+" in cstr[1:]) or ("-" in cstr[1:]):
-                cstr = f"({cstr})"
-            factors.append(cstr)
-            if m:
-                factors.append("z" if m == 1 else f"z^{m}")
-            if n:
-                factors.append("x" if n == 1 else f"x^{n}")
-            parts.append(" * ".join(factors))
-        return " + ".join(parts)
+        # phi(m, n) is the z^m coefficient of the t^n coefficient of the
+        # reduction, so the class prints as that Laurent polynomial does
+        ts: dict = {}
+        for (m, n), c in self.coeffs.items():
+            ts.setdefault(n, {})[m] = c
+        spec = BaseSpec("entire", ScaleAut(self.q))
+        return format_ore(LaurentOrePoly(spec, {n: EntirePoly(a) for n, a in ts.items()}))
 
 
 # ---------------------------------------------------------------------------

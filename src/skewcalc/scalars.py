@@ -7,10 +7,8 @@ values have equal triples and equality and hashing are integer
 compares.  Arithmetic works on the ints alone, with one shared
 denominator and as few gcds as the operands allow (Knuth, TAOCP vol. 2,
 4.5.1); ``re``, ``im`` and ``abs2()`` hand out ``fractions.Fraction``
-values.  The constructor shares one object per value among the scalars it
-builds (see ``_shared``), so stored inputs whose coefficients repeat do not
-hold a copy of each.  Only seminorm evaluation (which needs square roots
-and real powers) goes through binary64 floats.
+values.  Only seminorm evaluation (which needs square roots and real
+powers) goes through binary64 floats.
 """
 
 from __future__ import annotations
@@ -24,21 +22,6 @@ _new = object.__new__
 # operands + - * accept; any other type gets NotImplemented, so that its
 # own reflected method answers (a scalar times an element, say).
 _EXACT = (int, Fraction)
-
-# Scalars built by the constructor (input coefficients, parsed literals,
-# int and Fraction operands) are shared per value; results of arithmetic
-# are not.  This pays where inputs repeat a few coefficient values.  Over
-# set-up and one pass over every group of each benchmark workload (seed
-# 101), the share of constructor calls that repeat an earlier value is
-# 99.9 % in products (95,275 calls, 131 values; its inputs hold 2.3 MB
-# less after set-up), 99.99 % in oracle (135,289 calls, 8 values) and
-# 95 % in queries (15,116 calls, 723 values).  A call with a new value
-# costs about 0.2 us more than an unshared one, a repeated one a little
-# less (CPython 3.11, 2-vCPU Xeon VM).  _SHARED_MAX holds the largest of
-# those value sets (723) whole, at about 250 KB when full; the table
-# starts over once full, so inputs of ever new values keep it bounded.
-_shared: dict = {}
-_SHARED_MAX = 1024
 
 
 class GaussianRational:
@@ -58,13 +41,7 @@ class GaussianRational:
         if d != e:
             lcm = math.lcm(d, e)
             a, b, d = a * (lcm // d), b * (lcm // e), lcm
-        key = (a, b, d)
-        shared = _shared.get(key)
-        if shared is None:
-            if len(_shared) >= _SHARED_MAX:
-                _shared.clear()
-            shared = _shared[key] = _make(a, b, d)
-        return shared
+        return _make(a, b, d)
 
     @staticmethod
     def of(value) -> "GaussianRational":
@@ -185,8 +162,8 @@ class GaussianRational:
         return hash((self._a, self._b, self._d))
 
     def __reduce__(self):
-        # rebuild through the constructor: the default would write the
-        # slots of an object it got from __new__, which may be shared
+        # rebuild through the constructor: without a __getstate__, pickle
+        # protocols 0 and 1 refuse a class with __slots__
         return GaussianRational, (self.re, self.im)
 
     def __str__(self):

@@ -107,7 +107,7 @@ class _Empty:
 EMPTY_INTERVAL = _Empty()
 
 
-def interval(w: Word, n, extended: bool = True, step=1):
+def interval(w: Word, n, step=1):
     """[-n, n] shifted by p * step for each slot twist p, intersected.
 
     The intersection is [-n + s_max, n + s_min] over the extremal shifts
@@ -118,7 +118,7 @@ def interval(w: Word, n, extended: bool = True, step=1):
     n = Fraction(n)
     if n <= 0:
         raise ValueError("half-width n must be positive")
-    k_min, k_max = extremal_twists(w, extended=extended)
+    k_min, k_max = extremal_twists(w)
     s_min, s_max = sorted((k_min * step, k_max * step))
     lo, hi = -n + s_max, n + s_min
     if lo > hi:

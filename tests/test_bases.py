@@ -14,6 +14,7 @@ from skewcalc import (
     IdentityAut,
     Interval,
     IntervalPoly,
+    PolyDerivation,
     ScaleAut,
     ShiftAut,
     UnsupportedAutomorphism,
@@ -213,6 +214,18 @@ def test_diagonal_aut_isometric_for_unit_modulus():
 def test_scale_aut_rejects_zero():
     with pytest.raises(ValueError):
         ScaleAut(GaussianRational())
+
+
+def test_aut_kind_is_not_an_argument():
+    # BaseSpec dispatches on kind: a shift passed as "identity" used to
+    # answer the plain seminorm instead of the shift zero certificate
+    for make in (lambda: ShiftAut(1, "identity"), lambda: IdentityAut("scale"),
+                 lambda: ScaleAut(q_of(2), kind="shift"),
+                 lambda: DiagonalAut((q_of(2), q_of(3)), "identity"),
+                 lambda: PolyDerivation("ddz")):
+        with pytest.raises(TypeError):
+            make()
+    assert (IdentityAut().kind, ShiftAut(2).kind) == ("identity", "shift")
 
 
 # -- base spec wiring --------------------------------------------------------

@@ -296,6 +296,46 @@ def test_operand_count_exit_code(capsys):
         assert err.strip() == f"error: {message}"
 
 
+def test_option_the_command_does_not_read_exit_code(capsys):
+    # each of these used to be ignored, with exit 0
+    for argv, message in ((["norm", "z*x1", "--m", "1", "--depth", "3", "--r", "2"],
+                           "norm does not read --depth, --m, --r"),
+                          (["qnorm", "z*x1", "--rho", "4", "--format", "csv"],
+                           "qnorm does not read --format"),
+                          (["--depth", "3", "norm", "x1"], "norm does not read --depth"),
+                          (["mul", "x1", "x2", "--rho", "1"], "mul does not read --rho"),
+                          (["reduce", "z*x1", "--lambda", "2"], "reduce does not read --lambda"),
+                          (["to-ore", "x1", "--paper-display"],
+                           "to-ore does not read --paper-display")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: {message}"
+
+
+def test_each_command_accepts_the_options_it_reads(capsys):
+    argvs = {
+        "mul": ["mul", "x1", "x2"],
+        "norm": ["norm", "z*x1", "--lambda", "2", "--rho", "2"],
+        "qnorm": ["qnorm", "z*x1", "--lambda", "1", "--rho", "3/2", "--paper-display"],
+        "reduce": ["reduce", "z*x1", "--rho", "3/2"],
+        "phi": ["phi", "z*x1", "--m", "1", "--n", "1"],
+        "ideal-test": ["ideal-test", "x1"],
+        "to-ore": ["to-ore", "x1"],
+        "localizability": ["localizability", "--lambda", "2", "--lambda-grid", "1,2",
+                           "--depth", "3"],
+        "vanishing": ["vanishing", "--lambda", "1", "--rho", "1", "--lambda-grid", "1",
+                      "--rho-grid", "1,2", "--depth", "3", "--r", "1", "--format", "csv"],
+        "table": ["table", "z*x1", "--lambda", "1", "--rho", "1", "--lambda-grid", "1,2",
+                  "--rho-grid", "1"],
+    }
+    assert set(argvs) == set(cli._OPTIONS)
+    for command, argv in argvs.items():
+        flags = {token for token in argv if token.startswith("--")}
+        assert flags == set(cli._OPTIONS[command])
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "") and out
+
+
 def test_bad_rho_exit_code(capsys, scale2_cfg):
     code, _, err = run(capsys, ["--config", scale2_cfg, "norm", "z*x1", "--rho", "0"])
     assert code == 2
@@ -331,8 +371,8 @@ def test_depth_zero_is_not_the_default(capsys):
     (["norm", "--rho", "2", "z*x1"], "2.0 (exact)"),
     (["--rho", "2", "norm", "z*x1"], "2.0 (exact)"),
     (["norm", "z*x1", "--rho", "2"], "2.0 (exact)"),
-    (["mul", "x1", "--rho", "2", "x2"], "x1*x2"),
-    (["mul", "--rho", "2", "x1", "x2"], "x1*x2"),
+    (["mul", "x1", "--config", "SCALE2", "x2"], "x1*x2"),
+    (["mul", "--config", "SCALE2", "x1", "x2"], "x1*x2"),
     (["norm", "-z^4*x1"], "1.0 (exact)"),
     (["norm", "-z^4*x1", "--rho", "2"], "2.0 (exact)"),
     (["norm", "--rho", "2", "--", "-z^4*x1"], "2.0 (exact)"),
@@ -341,7 +381,9 @@ def test_depth_zero_is_not_the_default(capsys):
     (["mul", "--", "-x1", "x2"], "(-1)*x1*x2"),
     (["norm", "x1", "--rho", "2", "--"], "2.0 (exact)"),
 ])
-def test_options_and_operands_in_any_order(capsys, argv, expected):
+def test_options_and_operands_in_any_order(capsys, scale2_cfg, argv, expected):
+    # mul reads no option but --config
+    argv = [scale2_cfg if token == "SCALE2" else token for token in argv]
     code, out, err = run(capsys, argv)
     assert (code, out.strip(), err) == (0, expected, "")
 
