@@ -46,7 +46,6 @@ from .tensor import (
 )
 from .quotient import (
     CannotCertifyError,
-    QuotientClass,
     Verdict,
     canonical_representative,
     collapse_bidegree,

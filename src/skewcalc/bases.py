@@ -516,6 +516,8 @@ class BaseSpec:
             raise UnsupportedAutomorphism(
                 f"{self.aut.kind} automorphism is not supported on the {self.kind} base"
             )
+        if self.aut.kind == "diagonal" and len(self.aut.qs) != self.ngens:
+            raise ValueError("diagonal needs one factor per generator")
 
     # -- constructors ------------------------------------------------------
 

@@ -99,8 +99,6 @@ def _build_config(values: dict) -> SessionConfig:
             aut = ScaleAut(parse_scalar(values.get("q", "2")))
         elif aut_name == "diagonal":
             qs = [parse_scalar(part) for part in values.get("q", "2, 1/2").split(",")]
-            if len(qs) != ngens:
-                raise ConfigError("diagonal needs one factor per generator")
             aut = DiagonalAut(tuple(qs))
         else:
             raise ConfigError(f"unknown automorphism {aut_name!r}")
@@ -130,10 +128,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
-def _grid(text: str | None, fallback):
+def _grid(text: str | None, flag: str, single: Fraction) -> list:
+    """A grid option's values, or its single-value option's when it is absent."""
     if text is None:
-        return fallback
-    return [Fraction(part.strip()) for part in text.split(",")]
+        return [single]
+    try:
+        return [_fraction(part.strip()) for part in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"argument {flag}: {exc}") from None
 
 
 def _fmt_value(value: float) -> str:
@@ -196,6 +198,9 @@ def run_command(args, config: SessionConfig, out=None) -> int:
     unread = [flag for flag in args.given if flag not in _OPTIONS[cmd]]
     if unread:
         raise ValueError(f"{cmd} does not read {', '.join(unread)}")
+    for single, grid in (("--lambda", "--lambda-grid"), ("--rho", "--rho-grid")):
+        if single in args.given and grid in args.given:
+            raise ValueError(f"{cmd} takes {single} or {grid}, not both")
     results = []  # every parsed input and product, checked once for truncation
 
     def parse(source: str):
@@ -257,7 +262,7 @@ def run_command(args, config: SessionConfig, out=None) -> int:
         series = _require_series(parse(args.exprs[0]), "to-ore")
         print(format_element(reduce_to_ore(series)), file=out)
     elif cmd == "localizability":
-        lams = _grid(args.lambda_grid, [args.lam])
+        lams = _grid(args.lambda_grid, "--lambda-grid", args.lam)
         reports = localizability_probe(
             config.spec, lams, 8 if args.depth is None else args.depth
         )
@@ -277,13 +282,16 @@ def run_command(args, config: SessionConfig, out=None) -> int:
                 )
     elif cmd == "vanishing":
         r = _base_element(parse(args.r if args.r is not None else "1"))
-        lams = _grid(args.lambda_grid, [args.lam])
-        rhos = _grid(args.rho_grid, [args.rho])
+        lams = _grid(args.lambda_grid, "--lambda-grid", args.lam)
+        rhos = _grid(args.rho_grid, "--rho-grid", args.rho)
         report = vanishing_test(
             config.spec, r, lams, rhos, 12 if args.depth is None else args.depth
         )
         if args.format == "csv":
-            out.write(report.to_csv())
+            print("lambda,rho,k,value,verdict", file=out)
+            verdict = report.verdict.value
+            for lam, rho, k, value in report.rows:
+                print(f"{float(lam)},{float(rho)},{k},{_fmt_value(value)},{verdict}", file=out)
         else:
             print(report.verdict.value, file=out)
             if not report.r_invertible and report.verdict.value != "NoDecay":
@@ -291,14 +299,14 @@ def run_command(args, config: SessionConfig, out=None) -> int:
                       " closed ideal follows", file=out)
     elif cmd == "table":
         parsed = parse(args.exprs[0])
-        lams = _grid(args.lambda_grid, [args.lam])
-        rhos = _grid(args.rho_grid, [args.rho])
+        lams = _grid(args.lambda_grid, "--lambda-grid", args.lam)
+        rhos = _grid(args.rho_grid, "--rho-grid", args.rho)
+        # every row is computed before the header, so a failing one prints nothing
+        rows = [(lam, rho, *_norm(parsed, lam, rho))
+                for lam in sorted(lams, key=float) for rho in sorted(rhos, key=float)]
         print("lambda,rho,value,exactness", file=out)
-        for lam in sorted(lams, key=float):
-            for rho in sorted(rhos, key=float):
-                value, exactness = _norm(parsed, lam, rho)
-                print(f"{float(lam)},{float(rho)},{_fmt_value(value)},{exactness.value}",
-                      file=out)
+        for lam, rho, value, exactness in rows:
+            print(f"{float(lam)},{float(rho)},{_fmt_value(value)},{exactness.value}", file=out)
     if any(getattr(obj, "truncated", False) for obj in results):
         print("warning: terms beyond the caps were dropped", file=sys.stderr)
     return 0

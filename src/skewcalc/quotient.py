@@ -13,18 +13,15 @@ diagnostics.
 
 from __future__ import annotations
 
-import io
-import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .bases import BaseSpec, EntirePoly, Exactness, ScaleAut, UnsupportedAutomorphism
+from .bases import BaseSpec, Exactness, UnsupportedAutomorphism
 from .scalars import GaussianRational
 from .tensor import TwistedSeries, twisted_norm
 from .words import canonical_word, counts, winding
 from .ore import LaurentOrePoly
-from .parsing import format_ore
 
 
 def _require_entire(f: TwistedSeries):
@@ -58,31 +55,26 @@ def phi_support(f: TwistedSeries):
     return sorted(phi_table(f))
 
 
-def collapse_bidegree(f: TwistedSeries) -> dict:
-    """Aggregate coefficients over words with equal letter counts.
+def bidegree_series(f: TwistedSeries) -> TwistedSeries:
+    """Sum f's coefficients over words with equal letter counts.
 
-    Returns a map (m, n1, n2) -> scalar; the aggregated series lives on
-    the block words 1^n1 2^n2 and its weighted norm never exceeds f's.
+    Each word with n1 ones and n2 twos goes to the block word 1^n1 2^n2;
+    the weighted norm of the result never exceeds f's.
     """
     _require_entire(f)
-    out: dict = {}
+    terms: dict = {}
     for w, a in f.terms.items():
         n1, n2, _ = counts(w)
-        for m, c in a.coeffs.items():
-            key = (m, n1, n2)
-            out[key] = out.get(key, GaussianRational()) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def bidegree_series(f: TwistedSeries) -> TwistedSeries:
-    """The aggregated series of collapse_bidegree on canonical block words."""
-    terms: dict = {}
-    for (m, n1, n2), c in collapse_bidegree(f).items():
-        w = canonical_word(n1, n2)
-        coeff = f.spec.monomial(c, m)
-        terms[w] = terms[w] + coeff if w in terms else coeff
+        block = canonical_word(n1, n2)
+        terms[block] = terms[block] + a if block in terms else a
     return TwistedSeries(f.spec, terms, max_word_len=max(f.max_word_len, 1),
                          max_degree=f.max_degree)
+
+
+def collapse_bidegree(f: TwistedSeries) -> dict:
+    """Nonzero coefficients keyed by (m, n1, n2), read off bidegree_series(f)."""
+    return {(m, w.count(1), w.count(2)): c
+            for w, a in bidegree_series(f).terms.items() for m, c in a.coeffs.items()}
 
 
 def ideal_member(f: TwistedSeries) -> bool:
@@ -215,33 +207,6 @@ def reduce_to_ore(f: TwistedSeries) -> LaurentOrePoly:
 
 
 # ---------------------------------------------------------------------------
-# quotient classes (printing / interchange form)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotientClass:
-    """Coefficients of a class in the quotient: (m, n) -> scalar."""
-
-    q: GaussianRational
-    coeffs: dict = field(default_factory=dict)
-
-    @staticmethod
-    def from_series(f: TwistedSeries) -> "QuotientClass":
-        _require_scale(f.spec)
-        return QuotientClass(f.spec.aut.q, phi_table(f))
-
-    def __str__(self):
-        # phi(m, n) is the z^m coefficient of the t^n coefficient of the
-        # reduction, so the class prints as that Laurent polynomial does
-        ts: dict = {}
-        for (m, n), c in self.coeffs.items():
-            ts.setdefault(n, {})[m] = c
-        spec = BaseSpec("entire", ScaleAut(self.q))
-        return format_ore(LaurentOrePoly(spec, {n: EntirePoly(a) for n, a in ts.items()}))
-
-
-# ---------------------------------------------------------------------------
 # collapse diagnostics
 # ---------------------------------------------------------------------------
 
@@ -266,14 +231,6 @@ class VanishingReport:
     family: str
     rows: tuple  # (lam, rho, k, value)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["lambda", "rho", "k", "value", "verdict"])
-        for lam, rho, k, value in self.rows:
-            writer.writerow([float(lam), float(rho), k, repr(value), self.verdict.value])
-        return buf.getvalue()
-
 
 def _family_word(k: int, family: str):
     if family == "ones_first":
@@ -289,7 +246,7 @@ def vanishing_test(
     """Evaluate the collapse criterion sequence over a (lam, rho) grid.
 
     For each grid point the values ||r||^{(w_k)} * rho^{2k} are computed
-    for k = 1..depth.  A certified collapse needs an invertible r and, at
+    for k = 1..depth; every rho must be positive.  A certified collapse needs an invertible r and, at
     every grid point, a zero tail: the seminorm ||r||^{(w_depth)} itself,
     read before the rho^{2k} factor, must be 0.0 and tagged Exact, since a
     product that underflows to 0.0 certifies nothing.  Otherwise rapid
@@ -299,6 +256,8 @@ def vanishing_test(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if any(rho <= 0 for rho in rhos):
+        raise ValueError("rho must be positive")
     invertible = spec.is_invertible(r)
     rows = []
     zero_tail_everywhere = True

@@ -236,6 +236,8 @@ def test_base_spec_rejects_mismatched_automorphism():
         BaseSpec("interval", ScaleAut(q_of(2)))
     with pytest.raises(UnsupportedAutomorphism):
         BaseSpec("free", ShiftAut())
+    with pytest.raises(ValueError, match="one factor per generator"):
+        BaseSpec("free", DiagonalAut((q_of(2), q_of("1/2"))), ngens=3)
 
 
 def test_base_spec_inverse(scale2_spec):

@@ -205,7 +205,12 @@ def test_vanishing_csv_format(capsys, interval_cfg):
          "--format", "csv"],
     )
     assert code == 0
-    assert out.splitlines()[0] == "lambda,rho,k,value,verdict"
+    lines = out.splitlines()
+    assert lines[0] == "lambda,rho,k,value,verdict"
+    assert len(lines) == 4  # one row per k
+    assert all(line.endswith(",CollapseCertified") for line in lines[1:])
+    # line endings are "\n", as in the table command
+    assert not any(line.endswith("\r") for line in out.split("\n"))
 
 
 def test_default_config_is_scaling_base(capsys):
@@ -237,7 +242,9 @@ def test_config_error_exit_code(capsys, tmp_path):
                  "derivation = ddz\n",
                  "automorphism = shift\nderivation = ddz\n",
                  # unknown keys, a removed one among them, never fall back to defaults
-                 "format = csv\n", "automorphsm = identity\n"):
+                 "format = csv\n", "automorphsm = identity\n",
+                 # three generators, two diagonal factors
+                 "base = free(3)\nautomorphism = diagonal\nq = 2, 1/2\n"):
         malformed = tmp_path / "malformed.cfg"
         malformed.write_text(text)
         code, _, err = run(capsys, ["--config", str(malformed), "qnorm", "z*x1"])
@@ -313,32 +320,53 @@ def test_option_the_command_does_not_read_exit_code(capsys):
 
 
 def test_each_command_accepts_the_options_it_reads(capsys):
+    # a value and its grid are alternatives, so those commands get two argvs
     argvs = {
-        "mul": ["mul", "x1", "x2"],
-        "norm": ["norm", "z*x1", "--lambda", "2", "--rho", "2"],
-        "qnorm": ["qnorm", "z*x1", "--lambda", "1", "--rho", "3/2", "--paper-display"],
-        "reduce": ["reduce", "z*x1", "--rho", "3/2"],
-        "phi": ["phi", "z*x1", "--m", "1", "--n", "1"],
-        "ideal-test": ["ideal-test", "x1"],
-        "to-ore": ["to-ore", "x1"],
-        "localizability": ["localizability", "--lambda", "2", "--lambda-grid", "1,2",
-                           "--depth", "3"],
-        "vanishing": ["vanishing", "--lambda", "1", "--rho", "1", "--lambda-grid", "1",
-                      "--rho-grid", "1,2", "--depth", "3", "--r", "1", "--format", "csv"],
-        "table": ["table", "z*x1", "--lambda", "1", "--rho", "1", "--lambda-grid", "1,2",
-                  "--rho-grid", "1"],
+        "mul": [["mul", "x1", "x2"]],
+        "norm": [["norm", "z*x1", "--lambda", "2", "--rho", "2"]],
+        "qnorm": [["qnorm", "z*x1", "--lambda", "1", "--rho", "3/2", "--paper-display"]],
+        "reduce": [["reduce", "z*x1", "--rho", "3/2"]],
+        "phi": [["phi", "z*x1", "--m", "1", "--n", "1"]],
+        "ideal-test": [["ideal-test", "x1"]],
+        "to-ore": [["to-ore", "x1"]],
+        "localizability": [["localizability", "--lambda", "2", "--depth", "3"],
+                           ["localizability", "--lambda-grid", "1,2", "--depth", "3"]],
+        "vanishing": [["vanishing", "--lambda", "1", "--rho", "1", "--depth", "3", "--r", "1",
+                       "--format", "csv"],
+                      ["vanishing", "--lambda-grid", "1", "--rho-grid", "1,2", "--depth", "3"]],
+        "table": [["table", "z*x1", "--lambda", "1", "--rho", "1"],
+                  ["table", "z*x1", "--lambda-grid", "1,2", "--rho-grid", "1"]],
     }
     assert set(argvs) == set(cli._OPTIONS)
-    for command, argv in argvs.items():
-        flags = {token for token in argv if token.startswith("--")}
+    for command, runs in argvs.items():
+        flags = {token for argv in runs for token in argv if token.startswith("--")}
         assert flags == set(cli._OPTIONS[command])
+        for argv in runs:
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, "") and out
+
+
+def test_value_and_its_grid_exit_code(capsys):
+    # the single value used to be dropped silently, with exit 0
+    for argv, message in ((["table", "z*x1", "--lambda", "5", "--lambda-grid", "1", "--rho", "3"],
+                           "table takes --lambda or --lambda-grid, not both"),
+                          (["localizability", "--lambda", "2", "--lambda-grid", "1"],
+                           "localizability takes --lambda or --lambda-grid, not both"),
+                          (["vanishing", "--rho", "1", "--rho-grid", "1,2"],
+                           "vanishing takes --rho or --rho-grid, not both")):
         code, out, err = run(capsys, argv)
-        assert (code, err) == (0, "") and out
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: {message}"
 
 
 def test_bad_rho_exit_code(capsys, scale2_cfg):
     code, _, err = run(capsys, ["--config", scale2_cfg, "norm", "z*x1", "--rho", "0"])
     assert code == 2
+    # a grid command fails before it prints anything
+    for argv in (["vanishing", "--rho-grid", "0"], ["vanishing", "--rho-grid", "1,-1"],
+                 ["table", "x1", "--rho-grid", "-1"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err.strip()) == (2, "", "error: rho must be positive")
 
 
 def test_bad_fraction_option_exit_code(capsys):
@@ -351,6 +379,12 @@ def test_bad_fraction_option_exit_code(capsys):
             assert exc.value.code == 2
             assert f"argument {flag}: invalid Fraction value: {value!r}" in err
             assert "Traceback" not in err
+    # a grid entry is read by the command, and reported with the same wording
+    for flag in ("--lambda-grid", "--rho-grid"):
+        for value in ("1/0", "a"):
+            code, out, err = run(capsys, ["table", "x1", flag, f"1,{value}"])
+            assert (code, out) == (2, "")
+            assert err.strip() == f"error: argument {flag}: invalid Fraction value: {value!r}"
 
 
 def test_depth_zero_is_not_the_default(capsys):

@@ -10,7 +10,6 @@ from skewcalc import (
     GaussianRational,
     IntervalPoly,
     LaurentOrePoly,
-    QuotientClass,
     ScaleAut,
     TwistedSeries,
     UnsupportedAutomorphism,
@@ -27,10 +26,11 @@ from skewcalc import (
     twisted_norm,
     vanishing_test,
 )
+from skewcalc.parsing import format_ore
 from skewcalc.quotient import bidegree_series, phi_support, phi_table
 from skewcalc.words import winding
 
-from conftest import q_of, rand_entire, rand_series
+from conftest import rand_entire, rand_series
 
 CAPS = dict(max_word_len=24, max_degree=32)
 
@@ -125,10 +125,25 @@ def test_ideal_member_rejects_nonmembers(scale2_spec):
 # -- bidegree aggregation ----------------------------------------------------
 
 
-def test_collapse_bidegree_aggregates(scale2_spec):
+def test_collapse_bidegree_aggregates(rng, scale2_spec, shift_entire_spec):
     z = EntirePoly({1: 1})
     f = series(scale2_spec, {(1, 2): z, (2, 1): z})
     assert collapse_bidegree(f) == {(1, 1, 1): GaussianRational.of(2)}
+    for spec in (scale2_spec, shift_entire_spec):
+        for _ in range(100):
+            f = rand_series(rng, spec, 6, 4, 3, **CAPS)
+            # the z^m coefficients summed word by word over equal letter counts
+            sums: dict = {}
+            for w, a in f.terms.items():
+                for m, c in a.coeffs.items():
+                    key = (m, w.count(1), w.count(2))
+                    sums[key] = sums.get(key, GaussianRational()) + c
+            sums = {key: c for key, c in sums.items() if c}
+            assert collapse_bidegree(f) == sums
+            blocks: dict = {}
+            for (m, n1, n2), c in sums.items():
+                blocks.setdefault((1,) * n1 + (2,) * n2, {})[m] = c
+            assert bidegree_series(f).terms == {w: EntirePoly(cs) for w, cs in blocks.items()}
 
 
 def test_bidegree_series_fixes_canonical_input(scale2_spec):
@@ -259,11 +274,12 @@ def test_reduce_is_multiplicative_spot(rng, scale2_spec):
 
 
 def test_quotient_class_printing(scale2_spec):
+    # a class prints as its reduction, the Laurent polynomial on the scaling base
     z = EntirePoly({1: 1})
     f = series(scale2_spec, {(1,): z.scale(2), (2, 2): EntirePoly.one()})
-    cls = QuotientClass.from_series(f)
-    assert str(cls) == "(2*z)*t + t^-2"
-    assert str(QuotientClass(q_of(2), {})) == "0"
+    assert format_ore(reduce_to_ore(f)) == "(2*z)*t + t^-2"
+    r12, _ = relators(scale2_spec, **CAPS)
+    assert format_ore(reduce_to_ore(r12)) == "0"
 
 
 # -- vanishing diagnostics ---------------------------------------------------
@@ -315,9 +331,8 @@ def test_vanishing_upper_bounds_cannot_certify(free_diag_spec):
         vanishing_test(free_diag_spec, FreeSeries({(0,): 1}), [1], [1], 12)
 
 
-def test_vanishing_report_csv(interval_shift_spec):
-    report = vanishing_test(interval_shift_spec, IntervalPoly.one(), [1], [1], 4)
-    lines = report.to_csv().splitlines()
-    assert lines[0] == "lambda,rho,k,value,verdict"
-    assert len(lines) == 5
-    assert lines[1].endswith("CollapseCertified")
+def test_vanishing_rejects_nonpositive_rho(scale2_spec):
+    # rho^(2k) = 0 would make every term "decay", and rho = -1 would read as 1
+    for rhos in ([0], [1, -1]):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            vanishing_test(scale2_spec, EntirePoly.one(), [1], rhos, 4)
