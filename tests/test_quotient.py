@@ -331,6 +331,17 @@ def test_vanishing_upper_bounds_cannot_certify(free_diag_spec):
         vanishing_test(free_diag_spec, FreeSeries({(0,): 1}), [1], [1], 12)
 
 
+def test_vanishing_report_csv(interval_shift_spec):
+    # the rows `vanishing --format csv` prints: one (lam, rho, k, value) per k,
+    # all under the report's one verdict
+    report = vanishing_test(interval_shift_spec, IntervalPoly.one(), [1], [1], 4)
+    assert [(lam, rho, k) for lam, rho, k, _ in report.rows] == [
+        (1, 1, k) for k in range(1, 5)
+    ]
+    assert report.verdict is Verdict.COLLAPSE_CERTIFIED
+    assert report.verdict.value == "CollapseCertified"
+
+
 def test_vanishing_rejects_nonpositive_rho(scale2_spec):
     # rho^(2k) = 0 would make every term "decay", and rho = -1 would read as 1
     for rhos in ([0], [1, -1]):
