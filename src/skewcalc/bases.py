@@ -389,20 +389,19 @@ def _poly_divmod(a: list, b: list) -> tuple[list, list]:
     return quotient, a
 
 
-def _poly_gcd(a: list, b: list) -> list:
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
-
-
 def _sturm_chain(dense: list) -> list:
+    """A Sturm sequence of the squarefree part of dense (degree >= 1).
+
+    The signed remainder sequence p, p', -rem(p, p'), ... ends in
+    g = gcd(p, p'); every member divided by g is a Sturm sequence of p / g,
+    also at the roots of g.  So V(a) - V(b) counts the distinct roots of p
+    in (a, b].
+    """
     chain = [dense, _poly_deriv(dense)]
-    while chain[-1]:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
+    while rem := _poly_divmod(chain[-2], chain[-1])[1]:
         chain.append([-c for c in rem])
-    return [c for c in chain if c]
+    g = chain[-1]
+    return [_poly_divmod(p, g)[0] for p in chain] if len(g) > 1 else chain
 
 
 def _sign_changes(chain: list, x: Fraction) -> int:
@@ -414,60 +413,36 @@ def _sign_changes(chain: list, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _isolate_real_roots(dense: list, lo: Fraction, hi: Fraction) -> list:
-    """Disjoint rational intervals, each containing one root of dense in (lo, hi]."""
-    if len(dense) <= 1:
-        return []
-    # squarefree part for Sturm
-    g = _poly_gcd(dense, _poly_deriv(dense))
-    if len(g) > 1:
-        dense = _poly_divmod(dense, g)[0]
-    chain = _sturm_chain(dense)
-
-    def nroots(a: Fraction, b: Fraction) -> int:
-        return _sign_changes(chain, a) - _sign_changes(chain, b)
-
-    out = []
-    stack = [(lo, hi)]
-    while stack:
-        a, b = stack.pop()
-        n = nroots(a, b)
-        if n == 0:
-            continue
-        if n == 1 or b - a <= _ROOT_WIDTH:
-            # refine to the target width
-            while b - a > _ROOT_WIDTH:
-                mid = (a + b) / 2
-                if nroots(a, mid) >= 1:
-                    b = mid
-                else:
-                    a = mid
-            out.append((a, b))
-        else:
-            mid = (a + b) / 2
-            stack.append((a, mid))
-            stack.append((mid, b))
-    return out
-
-
 def interval_seminorm(f: IntervalPoly, window) -> float:
     """sup of |f| over a closed interval, or 0 over the empty window.
 
-    Computed from f's critical points: real roots of f' are isolated with
-    exact rational bisection, then |f| is evaluated at those points and at
-    the endpoints.
+    |f| is evaluated at the endpoints and at f's critical points: each
+    distinct real root of f' in the window is bisected down to a cell at
+    most _ROOT_WIDTH wide, whose midpoint is the candidate.  One stack holds
+    the cells (a, V(a), b, V(b)), so each Sturm count is computed once and
+    a split point's count serves both halves.
     """
     if window is EMPTY_INTERVAL:
         return 0.0
     if not isinstance(window, Interval):
         raise TypeError(f"expected Interval or Empty, got {window!r}")
-    candidates = [window.lo, window.hi]
-    deriv = _dense(f.derivative())
-    if len(deriv) > 1 or (deriv and deriv[0] != 0):
-        for a, b in _isolate_real_roots(deriv, window.lo, window.hi):
-            candidates.append((a + b) / 2)
-    best = max(abs(f.evaluate(x)) for x in candidates)
-    return float(best)
+    dense = _dense(f)
+    lo, hi = window.lo, window.hi
+    candidates = [lo, hi]
+    if len(dense) > 2:
+        chain = _sturm_chain(_poly_deriv(dense))
+        stack = [(lo, _sign_changes(chain, lo), hi, _sign_changes(chain, hi))]
+        while stack:
+            a, va, b, vb = stack.pop()
+            if va == vb:
+                continue
+            mid = (a + b) / 2
+            if b - a <= _ROOT_WIDTH:
+                candidates.append(mid)
+            else:
+                vm = _sign_changes(chain, mid)
+                stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+    return float(max(abs(_poly_eval(dense, x)) for x in candidates))
 
 
 # ---------------------------------------------------------------------------

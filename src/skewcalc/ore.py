@@ -175,13 +175,11 @@ def _basis_elements(spec: BaseSpec, cap: int):
             yield m, spec.monomial(1, m)
 
 
-def _direction_report(spec: BaseSpec, lam, cap: int, direction: int) -> DirectionReport:
-    ratios = []  # (degree, ratio)
-    for degree, e in _basis_elements(spec, cap):
-        denom = spec.seminorm(e, lam)
-        if denom == 0:
-            continue
-        ratios.append((degree, spec.seminorm(spec.aut_apply(e, direction), lam) / denom))
+def _direction_report(spec: BaseSpec, lam, basis: list, cap: int,
+                      direction: int) -> DirectionReport:
+    """basis holds (degree, monomial, its seminorm), every seminorm nonzero."""
+    ratios = [(degree, spec.seminorm(spec.aut_apply(e, direction), lam) / denom)
+              for degree, e, denom in basis]
     sup_ratio = max(ratio for _, ratio in ratios)
     aut = spec.aut
     # closed-form bounds only where the instance provides them
@@ -212,11 +210,15 @@ def localizability_probe(spec: BaseSpec, lams, degree_cap: int) -> list[ProbeRep
         raise ValueError("degree cap must be at least 1")
     reports = []
     for lam in lams:
+        # each monomial's seminorm is the denominator of both directions' ratios
+        basis = [(degree, e, spec.seminorm(e, lam))
+                 for degree, e in _basis_elements(spec, degree_cap)]
+        basis = [entry for entry in basis if entry[2] != 0]
         reports.append(
             ProbeReport(
                 lam,
-                _direction_report(spec, lam, degree_cap, +1),
-                _direction_report(spec, lam, degree_cap, -1),
+                _direction_report(spec, lam, basis, degree_cap, +1),
+                _direction_report(spec, lam, basis, degree_cap, -1),
             )
         )
     return reports

@@ -30,6 +30,10 @@ class ParseError(ValueError):
         self.column = column
 
 
+class _RingError(ValueError):
+    """A value the ring rejects; the parser reports it at its token's column."""
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?i?)|(?P<ident>[A-Za-z]\w*)"
     r"|(?P<op>[()+\-*^]))"
@@ -56,11 +60,11 @@ def _tokenize(source: str):
             except ZeroDivisionError:
                 message = f"zero denominator in {text!r}"
                 raise ParseError(message, 1, match.start("number") + 1) from None
-            tokens.append(("imag" if imag else "number", value, match.start()))
-        elif match.lastgroup == "ident":
-            tokens.append(("ident", match.group("ident"), match.start()))
+            kind = "imag" if imag else "number"
         else:
-            tokens.append(("op", match.group("op"), match.start()))
+            kind, value = match.lastgroup, match.group(match.lastgroup)
+        # the column of the token itself, after the whitespace the regex skips
+        tokens.append((kind, value, match.start(match.lastgroup)))
     tokens.append(("end", None, len(source)))
     return tokens
 
@@ -84,6 +88,13 @@ class _Parser:
     def error(self, message):
         _, _, pos = self.peek()
         raise ParseError(message, 1, pos + 1)
+
+    def ring_call(self, pos, method, *args):
+        """method(*args), with a ring's rejection reported at column pos + 1."""
+        try:
+            return method(*args)
+        except _RingError as exc:
+            raise ParseError(str(exc), 1, pos + 1) from None
 
     def parse(self):
         value = self.expression()
@@ -123,10 +134,10 @@ class _Parser:
 
     def power(self):
         value = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            value = self.ring.power(value, self.exponent())
+            value = self.ring_call(pos, self.ring.power, value, self.exponent())
         return value
 
     def exponent(self) -> int:
@@ -142,14 +153,14 @@ class _Parser:
         return sign * int(value)
 
     def atom(self):
-        kind, text, _ = self.advance()
+        kind, text, pos = self.advance()
         if kind == "number":
             return self.ring.scalar(GaussianRational(text))
         if kind == "imag":
-            return self.ring.scalar(GaussianRational(Fraction(0), text))
+            return self.ring_call(pos, self.ring.scalar, GaussianRational(Fraction(0), text))
         if kind == "ident":
             try:
-                return self.ring.atom(text)
+                return self.ring_call(pos, self.ring.atom, text)
             except KeyError:
                 self.index -= 1
                 self.error(f"unknown generator {text!r}")
@@ -183,7 +194,7 @@ class _Ring:
     def scalar(self, c: GaussianRational):
         if self.spec.kind == "interval":
             if c.im:
-                raise ParseError("complex scalars are not allowed on the interval base")
+                raise _RingError("complex scalars are not allowed on the interval base")
             c = c.re
         return self.make(self.spec.monomial(c), self.unit)
 
@@ -205,11 +216,11 @@ class _Ring:
     def power(self, value, exponent: int):
         if exponent < 0:
             if "t" not in self.gens or value != self.atom("t"):
-                raise ParseError("negative exponents are only allowed on t")
+                raise _RingError("negative exponents are only allowed on t")
             try:
                 return self.make(self.spec.one(), exponent)
             except DerivationSupportError:
-                raise ParseError("t^-1 is not available with a derivation") from None
+                raise _RingError("t^-1 is not available with a derivation") from None
         # square and multiply from the low bit; no squaring after the top bit
         result = self.make(self.spec.one(), self.unit)
         while True:
@@ -225,11 +236,13 @@ def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None, delta=None
     """Parse into a TwistedSeries, or a LaurentOrePoly when t occurs."""
     caps = caps or {}
     tokens = _tokenize(source)
-    idents = {t[1] for t in tokens if t[0] == "ident"}
-    uses_t = "t" in idents
-    uses_x = bool(idents & {"x1", "x2"})
-    if uses_t and uses_x:
-        raise ParseError("an expression cannot mix t with x1/x2")
+    # the picture is that of the first of t, x1, x2; an error points at the other
+    marks = [(name == "t", pos) for kind, name, pos in tokens
+             if kind == "ident" and name in ("t", "x1", "x2")]
+    uses_t = bool(marks) and marks[0][0]
+    for is_t, pos in marks:
+        if is_t != uses_t:
+            raise ParseError("an expression cannot mix t with x1/x2", 1, pos + 1)
     if uses_t:
         ring = _Ring(spec, lambda a, i: LaurentOrePoly.term(spec, a, i, delta), 0, {"t": 1})
     else:

@@ -121,16 +121,19 @@ class CanonicalRep:
 def canonical_representative(f: TwistedSeries, rho: float) -> CanonicalRep:
     """The coset representative whose weighted norm is the quotient seminorm.
 
-    Requires the scaling base with |q| > 1.  Classes (m, n) fall into
-    three regimes by comparing |q|^m against rho and rho^2: plain winding
-    words, winding words padded with a single trailing x2, or dropped
-    entirely (the quotient seminorm kills them).
+    Requires the scaling base with |q| != 1.  For |q| > 1, classes (m, n)
+    fall into three regimes by comparing |q|^m against rho and rho^2: plain
+    winding words, winding words padded with a single trailing x2, or
+    dropped entirely (the quotient seminorm kills them).  For |q| < 1 the
+    swap symmetry (exchange the generators and invert q) mirrors the
+    representative of the swapped series, so padding is by a trailing x1
+    and a dropped class (m, n) is the swapped series' (m, -n).
     """
     _require_scale(f.spec)
     if not f.spec.aut.abs_gt_one():
-        raise UnsupportedAutomorphism(
-            "canonical representatives are built for |q| > 1; use the swap symmetry"
-        )
+        rep = canonical_representative(_swap_series(f), rho)
+        dropped = frozenset((m, -n) for m, n in rep.dropped)
+        return CanonicalRep(_swap_series(rep.series), dropped)
     if rho <= 0:
         raise ValueError("rho must be positive")
     terms: dict = {}
@@ -264,11 +267,13 @@ def vanishing_test(
     decay_everywhere = True
     saw_upper_bound = False
     for lam in lams:
+        # the seminorms ||r||^{(w_k)} do not depend on rho
+        column = [spec.twisted_seminorm(r, _family_word(k, family), lam)
+                  for k in range(1, depth + 1)]
         for rho in rhos:
             rho = float(rho)
             values = []
-            for k in range(1, depth + 1):
-                value, tag = spec.twisted_seminorm(r, _family_word(k, family), lam)
+            for k, (value, tag) in enumerate(column, start=1):
                 seq = value * rho ** (2 * k)
                 values.append(seq)
                 rows.append((lam, rho, k, seq))

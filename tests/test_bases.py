@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcalc import (
     BaseSpec,
@@ -22,6 +23,7 @@ from skewcalc import (
     interval_seminorm,
     weighted_seminorm,
 )
+from skewcalc import bases
 from skewcalc.bases import InvalidDecompositionError, i_w_apply
 from skewcalc.words import EMPTY_INTERVAL, all_words, partial_sums
 
@@ -115,6 +117,88 @@ def test_interval_seminorm_repeated_derivative_roots():
     f = IntervalPoly({4: 1, 2: -2, 0: 1})  # (z^2 - 1)^2
     assert interval_seminorm(f, Interval(-2, 2)) == pytest.approx(9.0, abs=1e-9)
     assert interval_seminorm(f, Interval(-1, 1)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_interval_seminorm_repeated_critical_point_at_an_endpoint():
+    # f' = (z + 2)^2 (z - 3/2): every member of the signed remainder sequence
+    # of f' vanishes at -2, so only the sequence divided by their gcd z + 2
+    # still counts the root at 3/2
+    f = IntervalPoly({4: Fraction(1, 4), 3: Fraction(5, 6), 2: -1, 1: -6})
+    assert f.evaluate(Fraction(3, 2)) == Fraction(-459, 64)
+    assert interval_seminorm(f, Interval(-2, 2)) == pytest.approx(459 / 64, abs=1e-9)
+
+
+def _sup_bracket(f: IntervalPoly, lo: Fraction, hi: Fraction, points: int = 256):
+    """(lower, upper) bounds on sup |f| over [lo, hi], without root isolation.
+
+    lower is the largest |f| on a uniform grid of step h.  The sup is at an
+    endpoint or at a critical point x*, within h/2 of a grid point, where
+    Taylor's theorem gives |f(x*)| <= lower + M2 h^2 / 8 with
+    M2 = sum |c_m| m (m-1) R^(m-2) >= |f''| on [-R, R].
+    """
+    h = (hi - lo) / points
+    lower = max(abs(f.evaluate(lo + j * h)) for j in range(points + 1))
+    radius = max(abs(lo), abs(hi))
+    m2 = sum(abs(c) * m * (m - 1) * radius ** (m - 2) for m, c in f.coeffs.items() if m > 1)
+    return lower, lower + m2 * h * h / 8
+
+
+def _antiderivative(roots: dict, scale: Fraction, constant: Fraction) -> IntervalPoly:
+    """The f with f(0) = constant and f' = scale * prod (z - r)^e over roots {r: e}."""
+    deriv = IntervalPoly({0: scale})
+    for r, e in roots.items():
+        for _ in range(e):
+            deriv = deriv * IntervalPoly({1: 1, 0: -r})
+    terms = {m + 1: c / (m + 1) for m, c in deriv.coeffs.items()}
+    return IntervalPoly({**terms, 0: constant})
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+dyadics = st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-12, 12), st.integers(0, 3))
+random_polys = st.dictionaries(st.integers(0, 7), small_fractions, max_size=8).map(IntervalPoly)
+repeated_root_polys = st.builds(
+    _antiderivative,
+    st.dictionaries(dyadics, st.integers(1, 3), min_size=1, max_size=3),
+    small_fractions.filter(bool),
+    small_fractions,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(random_polys, repeated_root_polys),
+       n=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]),
+       shift=st.integers(-3, 3).map(lambda k: Fraction(k, 2)))
+def test_interval_seminorm_within_grid_bracket(f, n, shift):
+    # the shifted windows [-n - s, n - s] of the shift twist
+    lo, hi = -n - shift, n - shift
+    lower, upper = _sup_bracket(f, lo, hi)
+    value = interval_seminorm(f, Interval(lo, hi))
+    assert float(lower) * (1 - 1e-12) <= value <= float(upper) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("coeffs, lo, hi, distinct_critical", [
+    ({4: 1, 2: -2}, -2, 2, 3),  # f' = 4z(z - 1)(z + 1)
+    ({3: 1}, -1, 1, 1),  # f' = 3z^2: one distinct root, twice
+    ({4: 1, 2: -2, 0: 1}, -1, 1, 2),  # (z^2 - 1)^2: 0 and 1 lie in (-1, 1]
+    ({5: 1, 3: Fraction(-25, 3), 1: 20}, Fraction(-5, 2), Fraction(3, 2), 3),  # -2, -1, 1
+])
+def test_interval_seminorm_sturm_count_once_per_point(monkeypatch, coeffs, lo, hi,
+                                                      distinct_critical):
+    # one Sturm count at each endpoint, then at most one per bisection level
+    # of each distinct critical point in (lo, hi]
+    calls = []
+    original = bases._sign_changes
+
+    def counted(chain, x):
+        calls.append(x)
+        return original(chain, x)
+
+    monkeypatch.setattr(bases, "_sign_changes", counted)
+    interval_seminorm(IntervalPoly(coeffs), Interval(lo, hi))
+    levels, width = 0, Fraction(hi - lo)  # ceil(log2((hi - lo) / _ROOT_WIDTH))
+    while width > bases._ROOT_WIDTH:
+        levels, width = levels + 1, width / 2
+    assert len(calls) <= 2 + distinct_critical * levels
 
 
 def test_interval_seminorm_empty_window_is_zero():

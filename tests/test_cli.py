@@ -1,6 +1,7 @@
 import pytest
 
 from skewcalc import cli
+from skewcalc.bases import BaseSpec
 from skewcalc.cli import main
 
 SCALE2_CFG = "base = entire\nautomorphism = scale\nq = 2\n"
@@ -166,6 +167,16 @@ def test_reduce_shows_representative_and_drops(capsys, scale2_cfg):
     assert "dropped classes: (m=1, n=1)" in out
 
 
+def test_reduce_contracting_scale_mirrors(capsys, tmp_path):
+    # q = 1/2: the mirror of what q = 2 prints for z*x1, by the swap symmetry
+    cfg = tmp_path / "scale1_2.cfg"
+    cfg.write_text("base = entire\nautomorphism = scale\nq = 1/2\n")
+    code, out, _ = run(capsys, ["--config", str(cfg), "reduce", "z*x2", "--rho", "3/2"])
+    assert (code, out) == (0, "(z)*x2^2*x1\n")
+    code, out, _ = run(capsys, ["--config", str(cfg), "reduce", "z*x2", "--rho", "1"])
+    assert (code, out) == (0, "0\ndropped classes: (m=1, n=-1)\n")
+
+
 def test_reduce_regime_boundary_is_exact(capsys, tmp_path):
     # |q|^2 = 2 equals rho = 2: the class keeps the plain word x1
     cfg = tmp_path / "q1i.cfg"
@@ -257,6 +268,27 @@ def test_config_identity_with_derivation(capsys, tmp_path):
     cfg.write_text("base = entire\nautomorphism = identity\nderivation = ddz\n")
     code, out, _ = run(capsys, ["--config", str(cfg), "mul", "t", "z"])
     assert (code, out.strip()) == (0, "(z)*t + 1")
+
+
+@pytest.mark.parametrize("method, argv, calls", [
+    # each per-word seminorm is computed once per lambda, not once per rho
+    ("twisted_seminorm", ["vanishing", "--r", "z", "--lambda-grid", "1,2",
+                          "--rho-grid", "1,2,3", "--depth", "6"], 2 * 6),
+    # each monomial's seminorm is computed once for both directions:
+    # 5 monomials, their 5 images forward and their 5 images backward
+    ("seminorm", ["localizability", "--depth", "4"], 5 + 5 + 5),
+])
+def test_read_path_seminorm_calls(capsys, monkeypatch, interval_cfg, method, argv, calls):
+    original = getattr(BaseSpec, method)
+    seen = []
+
+    def counted(self, *args):
+        seen.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(BaseSpec, method, counted)
+    code, _, _ = run(capsys, ["--config", interval_cfg, *argv])
+    assert (code, len(seen)) == (0, calls)
 
 
 def test_missing_config_file_exit_code(capsys, tmp_path):

@@ -62,22 +62,31 @@ def test_parse_free_generators(free_diag_spec):
 
 
 def test_parse_errors(scale2_spec, interval_shift_spec):
-    with pytest.raises(ParseError):
-        parse_expr("t*x1", scale2_spec)  # cannot mix the two pictures
-    with pytest.raises(ParseError) as info:
-        parse_expr("z @ x1", scale2_spec, CAPS)  # bad character
-    assert info.value.column == 3
-    with pytest.raises(ParseError):
-        parse_expr("w1", scale2_spec, CAPS)  # unknown generator
+    def column(source, spec=scale2_spec, caps=CAPS, **kw):
+        with pytest.raises(ParseError) as info:
+            parse_expr(source, spec, caps, **kw)
+        return info.value.column
+
+    # cannot mix the two pictures: the column of the second picture's first token
+    assert column("t*x1", caps=None) == 3
+    assert column("x1 * t", caps=None) == 6
+    assert column("z @ x1") == 3  # bad character
+    # a token after whitespace is reported at the token, not at the space
+    assert column("z + w1") == 5  # unknown generator
+    assert column("z  +  x3") == 7
+    assert column("z ^ x1") == 5  # integer exponent expected
     only_t = "negative exponents are only allowed on t"
     with pytest.raises(ParseError, match=only_t):
         parse_expr("x1^-1", scale2_spec, CAPS)
+    assert column("x1^-1") == 3  # the '^'
     with pytest.raises(ParseError, match=only_t):
         parse_expr("(z*t)^-1", scale2_spec)
     with pytest.raises(ParseError, match="t\\^-1 is not available with a derivation"):
         parse_expr("t^-1", scale2_spec, delta=PolyDerivation())
-    with pytest.raises(ParseError):
-        parse_expr("1i*x1", interval_shift_spec, CAPS)  # no complex scalars here
+    assert column("t^-1", caps=None, delta=PolyDerivation()) == 2
+    # no complex scalars on the interval base: the column of the literal
+    assert column("1i*x1", interval_shift_spec) == 1
+    assert column("z + 2i*x1", interval_shift_spec) == 5
     with pytest.raises(ParseError):
         parse_expr("z*(x1", scale2_spec, CAPS)  # unbalanced parenthesis
     with pytest.raises(ParseError):

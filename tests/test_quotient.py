@@ -187,14 +187,36 @@ def test_canonical_representative_nonpositive_winding(scale2_spec):
     assert rep.series.terms == {(2,): z}
 
 
-def test_canonical_representative_requires_expanding_scale(scale_half_spec,
-                                                           interval_shift_spec):
-    f = series(scale_half_spec, {(1,): EntirePoly.one()})
-    with pytest.raises(UnsupportedAutomorphism):
+def test_canonical_representative_rejects_unit_scale_and_interval(interval_shift_spec):
+    unit = BaseSpec("entire", ScaleAut(GaussianRational(Fraction(3, 5), Fraction(4, 5))))
+    f = series(unit, {(1,): EntirePoly.one()})
+    with pytest.raises(UnsupportedAutomorphism, match="\\|q\\| = 1"):
         canonical_representative(f, 2.0)
     g = TwistedSeries(interval_shift_spec, {(1,): IntervalPoly.one()}, **CAPS)
     with pytest.raises(UnsupportedAutomorphism):
         canonical_representative(g, 2.0)
+
+
+def test_canonical_representative_contracting_scale_mirrors(scale_half_spec):
+    # over q = 1/2 the x2-side mirrors the x1-side of q = 2, padded by one x1
+    z = EntirePoly({1: 1})
+    f = series(scale_half_spec, {(2,): z})  # class (m=1, n=-1)
+    rep = canonical_representative(f, 4.0)
+    assert rep.series.terms == {(2,): z} and not rep.dropped
+    rep = canonical_representative(f, 1.5)
+    assert rep.series.terms == {(2, 2, 1): z} and not rep.dropped
+    assert rep.series.spec == scale_half_spec
+    rep = canonical_representative(f, 1.0)
+    assert rep.series.is_zero() and rep.dropped == frozenset({(1, -1)})
+
+
+def test_canonical_representative_norm_is_quotient_norm_contracting(rng, scale_half_spec):
+    for _ in range(30):
+        f = rand_series(rng, scale_half_spec, 2, 3, 3, **CAPS)
+        for rho in (1.0, 1.5, 2.0, 4.0):
+            rep = canonical_representative(f, rho)
+            value, _ = twisted_norm(rep.series, 1, rho)
+            assert value == quotient_norm(f, 1, rho)
 
 
 def test_quotient_norm_spot_values(scale2_spec):
