@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse/config error, 3 unsupported configuration
-for the requested command.
+Exit codes: 0 success, 2 parse/config error or an input the caps cut
+down, 3 unsupported configuration for the requested command.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from .bases import (
     ShiftAut,
     UnsupportedAutomorphism,
 )
-from .ore import LaurentOrePoly, laurent_series_norm, localizability_probe, ore_mul
+from .ore import LaurentOrePoly, laurent_series_norm, localizability_probe
 from .parsing import (
     ConfigError,
     ParseError,
     format_element,
-    format_series,
     parse_config_text,
     parse_expr,
     parse_scalar,
@@ -41,7 +40,7 @@ from .quotient import (
     reduce_to_ore,
     vanishing_test,
 )
-from .tensor import TwistedSeries, mul as series_mul, twisted_norm
+from .tensor import TwistedSeries, twisted_norm
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,6 @@ class UnsupportedCommand(RuntimeError):
     pass
 
 
-def _require_series(obj, command: str) -> TwistedSeries:
-    if not isinstance(obj, TwistedSeries):
-        raise UnsupportedCommand(f"{command} expects an x1/x2 expression")
-    return obj
-
-
 def _base_element(parsed):
     if isinstance(parsed, LaurentOrePoly):
         raise UnsupportedCommand("expected a base-algebra element")
@@ -201,16 +194,24 @@ def run_command(args, config: SessionConfig, out=None) -> int:
     for single, grid in (("--lambda", "--lambda-grid"), ("--rho", "--rho-grid")):
         if single in args.given and grid in args.given:
             raise ValueError(f"{cmd} takes {single} or {grid}, not both")
-    results = []  # every parsed input and product, checked once for truncation
+    truncated = False
+
+    def admit(obj):
+        # norm and table tag a value the caps cut down; the others refuse it
+        nonlocal truncated
+        if obj.truncated:
+            if cmd not in ("norm", "table"):
+                raise ValueError(f"terms beyond the caps L = {config.caps['max_word_len']}"
+                                 f" and D = {config.caps['max_degree']} were dropped")
+            truncated = True
+        return obj
 
     def parse(source: str):
-        parsed = parse_expr(source, config.spec, config.caps, config.delta)
-        results.append(parsed)
-        return parsed
+        return admit(parse_expr(source, config.spec, config.caps, config.delta))
 
     if cmd == "mul":
         lhs, rhs = parse(args.exprs[0]), parse(args.exprs[1])
-        if isinstance(lhs, TwistedSeries) != isinstance(rhs, TwistedSeries):
+        if type(lhs) is not type(rhs):
             # a factor without t or x1/x2 lives in the base algebra and
             # can be lifted into the Ore picture of the other factor
             def lift(obj):
@@ -221,46 +222,40 @@ def run_command(args, config: SessionConfig, out=None) -> int:
                 return obj
 
             lhs, rhs = lift(lhs), lift(rhs)
-        if isinstance(lhs, TwistedSeries) != isinstance(rhs, TwistedSeries):
+        if type(lhs) is not type(rhs):
             raise UnsupportedCommand("operands must both use x1/x2 or both use t")
-        product = series_mul(lhs, rhs) if isinstance(lhs, TwistedSeries) else ore_mul(lhs, rhs)
-        results.append(product)
-        print(format_element(product), file=out)
+        print(format_element(admit(lhs * rhs)), file=out)
     elif cmd == "norm":
         parsed = parse(args.exprs[0])
         value, exactness = _norm(parsed, args.lam, args.rho)
         tag = f" ({exactness.value})" if isinstance(parsed, TwistedSeries) else ""
         print(f"{_fmt_value(value)}{tag}", file=out)
     elif cmd == "qnorm":
-        series = _require_series(parse(args.exprs[0]), "qnorm")
-        value = quotient_norm(series, args.lam, float(args.rho),
+        value = quotient_norm(parse(args.exprs[0]), args.lam, float(args.rho),
                               paper_display=args.paper_display)
         print(_fmt_value(value), file=out)
     elif cmd == "reduce":
-        series = _require_series(parse(args.exprs[0]), "reduce")
-        rep = canonical_representative(series, float(args.rho))
-        print(format_series(rep.series), file=out)
+        rep = canonical_representative(parse(args.exprs[0]), float(args.rho))
+        print(format_element(rep.series), file=out)
         if rep.dropped:
             dropped = ", ".join(f"(m={m}, n={n})" for m, n in sorted(rep.dropped))
             print(f"dropped classes: {dropped}", file=out)
     elif cmd == "phi":
         if (args.m is None) != (args.n is None):
             raise ValueError("phi takes --m and --n together, or neither")
-        series = _require_series(parse(args.exprs[0]), "phi")
+        parsed = parse(args.exprs[0])
         if args.m is not None:
-            print(str(phi(series, args.m, args.n)), file=out)
+            print(str(phi(parsed, args.m, args.n)), file=out)
         else:
-            table = phi_table(series)
+            table = phi_table(parsed)
             if not table:
                 print("0", file=out)
             for (m, n), value in sorted(table.items()):
                 print(f"phi({m},{n}) = {value}", file=out)
     elif cmd == "ideal-test":
-        series = _require_series(parse(args.exprs[0]), "ideal-test")
-        print("true" if ideal_member(series) else "false", file=out)
+        print("true" if ideal_member(parse(args.exprs[0])) else "false", file=out)
     elif cmd == "to-ore":
-        series = _require_series(parse(args.exprs[0]), "to-ore")
-        print(format_element(reduce_to_ore(series)), file=out)
+        print(format_element(reduce_to_ore(parse(args.exprs[0]))), file=out)
     elif cmd == "localizability":
         lams = _grid(args.lambda_grid, "--lambda-grid", args.lam)
         reports = localizability_probe(
@@ -307,7 +302,7 @@ def run_command(args, config: SessionConfig, out=None) -> int:
         print("lambda,rho,value,exactness", file=out)
         for lam, rho, value, exactness in rows:
             print(f"{float(lam)},{float(rho)},{_fmt_value(value)},{exactness.value}", file=out)
-    if any(getattr(obj, "truncated", False) for obj in results):
+    if truncated:
         print("warning: terms beyond the caps were dropped", file=sys.stderr)
     return 0
 

@@ -1,117 +1,185 @@
-"""Skew (Laurent) polynomial arithmetic and its weighted norms.
+"""Twisted sparse maps, and the skew Laurent polynomials among them.
 
-Elements are finitely supported maps exponent -> base element over a
-fixed :class:`~skewcalc.bases.BaseSpec`.  Multiplication rewrites
-``t a -> alpha(a) t + delta(a)`` (and ``t^-1 a -> alpha^-1(a) t^-1``
-when there is no derivation).  A derivation is only accepted on
-nonnegative supports.
+A twisted map sends keys to base elements over a fixed BaseSpec.  Keys
+form a monoid under ``+``, so one loop multiplies every kind:
+(fg)_k = sum over k1 + k2 = k of f_{k1} * alpha^{twist(k1)}(g_{k2}).
+:class:`LaurentOrePoly` has exponents of t for keys (twist = exponent, no
+caps); ``TwistedSeries`` has two-letter words (twist = winding, capped).
+An Ore polynomial may instead carry a derivation, t a -> alpha(a) t +
+delta(a), on nonnegative supports only.  Arithmetic results skip the
+public constructor's checks through the private ``_derived``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from .bases import BaseSpec, MismatchedBaseError
+
+_new = object.__new__
+_setattr = object.__setattr__  # past the frozen __setattr__
 
 
 class DerivationSupportError(ValueError):
     """A derivation was combined with negative exponents."""
 
 
-@dataclass(frozen=True)
-class LaurentOrePoly:
-    spec: BaseSpec
-    coeffs: dict = field(default_factory=dict)
-    delta: object = None  # optional derivation, e.g. PolyDerivation
+class _TwistedMap:
+    """The fields ``spec``, ``terms`` and ``truncated``, and the ring operations.
+
+    Each kind is a frozen slotted dataclass that declares its key type
+    (``_key``), the key of 1 (``_unit``) and the twist of a key
+    (``_twist``); a kind with caps overrides ``_fits`` and ``_covers``.
+    """
+
+    __slots__ = ()
+    delta = None  # only an Ore polynomial may carry a derivation
 
     def __post_init__(self):
-        cleaned = {int(i): a for i, a in self.coeffs.items() if not a.is_zero()}
-        object.__setattr__(self, "coeffs", cleaned)
-        if self.delta is not None and any(i < 0 for i in cleaned):
-            raise DerivationSupportError(
-                "a nonzero derivation requires nonnegative exponents"
-            )
+        cleaned = {}
+        for k, a in self.terms.items():
+            k = self._key(k)
+            if a.is_zero():
+                continue
+            if not self._fits(k, a):
+                raise ValueError(f"term on word {k} exceeds the caps")
+            cleaned[k] = a
+        _setattr(self, "terms", cleaned)
 
-    @staticmethod
-    def zero(spec: BaseSpec, delta=None) -> "LaurentOrePoly":
-        return LaurentOrePoly(spec, {}, delta)
+    def _derived(self, terms: dict, truncated: bool):
+        """This map's kind and fields with other terms, skipping
+        ``__post_init__``: each key is checked and each term fits."""
+        out = _new(type(self))
+        for name in self.__slots__:
+            _setattr(out, name, getattr(self, name))
+        _setattr(out, "terms", {k: a for k, a in terms.items() if a.coeffs})
+        _setattr(out, "truncated", truncated)
+        return out
 
-    @staticmethod
-    def one(spec: BaseSpec, delta=None) -> "LaurentOrePoly":
-        return LaurentOrePoly(spec, {0: spec.one()}, delta)
+    def _fits(self, k, a) -> bool:  # the term a on key k meets the caps
+        return True
 
-    @staticmethod
-    def term(spec: BaseSpec, a, i: int = 0, delta=None) -> "LaurentOrePoly":
-        return LaurentOrePoly(spec, {i: a}, delta)
+    def _covers(self, other) -> bool:  # other's caps are within this map's
+        return True
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    # the fields after the terms (caps, derivation) pass through
+    @classmethod
+    def zero(cls, spec: BaseSpec, *fields, **named):
+        return cls(spec, {}, *fields, **named)
+
+    @classmethod
+    def one(cls, spec: BaseSpec, *fields, **named):
+        return cls(spec, {cls._unit: spec.one()}, *fields, **named)
+
+    @classmethod
+    def term(cls, spec: BaseSpec, a, key=None, *fields, **named):
+        return cls(spec, {cls._unit if key is None else key: a}, *fields, **named)
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.spec != self.spec:
+            raise MismatchedBaseError("operands live over different base specs")
+        if (self.delta is None) != (other.delta is None):
+            raise MismatchedBaseError("operands disagree on the derivation")
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for i, a in other.coeffs.items():
-            out[i] = out[i] + a if i in out else a
-        return LaurentOrePoly(self.spec, out, self.delta)
+        out = dict(self.terms)
+        for k, a in other.terms.items():
+            out[k] = out[k] + a if k in out else a
+        truncated = self.truncated or other.truncated
+        if not self._covers(other):
+            # the sum keeps this map's caps, which other's terms may exceed
+            return replace(self, terms=out, truncated=truncated)
+        return self._derived(out, truncated)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentOrePoly(self.spec, {i: -a for i, a in self.coeffs.items()}, self.delta)
+        return self._derived({k: -a for k, a in self.terms.items()}, self.truncated)
 
-    def __mul__(self, other):
-        return ore_mul(self, other)
+    def scale(self, c):
+        return self._derived({k: a.scale(c) for k, a in self.terms.items()}, self.truncated)
+
+    def _product(self, other):
+        """The twisted product; a term that does not fit is dropped, setting the flag."""
+        aut_apply = self.spec.aut_apply
+        fits = self._fits
+        out: dict = {}
+        truncated = self.truncated or other.truncated
+        for k1, a in self.terms.items():
+            twist = self._twist(k1)
+            for k2, b in other.terms.items():
+                k = k1 + k2
+                term = a * aut_apply(b, twist)
+                if not fits(k, term):
+                    if term.coeffs:
+                        truncated = True
+                    continue
+                out[k] = out[k] + term if k in out else term
+        return self._derived(out, truncated)
 
     def __eq__(self, other):
         return (
-            isinstance(other, LaurentOrePoly)
+            type(other) is type(self)
             and self.spec == other.spec
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.spec, frozenset(self.coeffs.items())))
+        return hash((self.spec, frozenset(self.terms.items())))
 
-    def _check(self, other):
-        if not isinstance(other, LaurentOrePoly) or other.spec != self.spec:
-            raise MismatchedBaseError("operands live over different base specs")
-        if (self.delta is None) != (other.delta is None):
-            raise MismatchedBaseError("operands disagree on the derivation")
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
-def _t_power_times(spec: BaseSpec, delta, b, i: int) -> dict:
-    """Expand t^i * b as a map exponent -> base element."""
-    if delta is None:
-        return {i: spec.aut_apply(b, i)}
-    if i < 0:
-        raise DerivationSupportError("negative exponent with a nonzero derivation")
-    out = {0: b}
-    for _ in range(i):
-        nxt: dict = {}
-        for j, a in out.items():
-            moved = spec.aut_apply(a, 1)
-            nxt[j + 1] = nxt[j + 1] + moved if j + 1 in nxt else moved
-            d = delta.apply(a)
-            if not d.is_zero():
-                nxt[j] = nxt[j] + d if j in nxt else d
-        out = nxt
-    return out
+@dataclass(frozen=True, slots=True, eq=False)
+class LaurentOrePoly(_TwistedMap):
+    spec: BaseSpec
+    terms: dict = field(default_factory=dict)
+    delta: object = None  # optional derivation, e.g. PolyDerivation
+    truncated: bool = False
+
+    _key = int
+    _unit = 0
+    _twist = int  # t^i twists by alpha^i
+
+    def __post_init__(self):
+        _TwistedMap.__post_init__(self)
+        if self.delta is not None and any(i < 0 for i in self.terms):
+            raise DerivationSupportError(
+                "a nonzero derivation requires nonnegative exponents"
+            )
+
+    @property
+    def coeffs(self) -> dict:
+        """The terms, keyed by the exponent of t."""
+        return self.terms
+
+    def __mul__(self, other):
+        return ore_mul(self, other)
 
 
 def ore_mul(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
     """Exact product under the skew rewriting rule."""
     f._check(g)
-    spec = f.spec
-    out: dict = {}
-    for i, a in f.coeffs.items():
-        for j, b in g.coeffs.items():
-            for k, moved in _t_power_times(spec, f.delta, b, i).items():
-                term = a * moved
-                key = k + j
-                out[key] = out[key] + term if key in out else term
-    return LaurentOrePoly(spec, out, f.delta)
+    if f.delta is None:
+        return f._product(g)
+    # under a derivation, f g sums a_i (t^i g), where t p is the twisted
+    # product t * p plus delta applied to each coefficient of p
+    spec, delta = f.spec, f.delta
+    t = f.term(spec, spec.one(), 1, delta)
+    out = f._derived({}, f.truncated or g.truncated)
+    power = g  # t^i g
+    for i in range(max(f.terms, default=-1) + 1):
+        if i:
+            power = t._product(power) + power._derived(
+                {j: delta.apply(b) for j, b in power.terms.items()}, power.truncated
+            )
+        if i in f.terms:
+            out = out + f.term(spec, f.terms[i], 0, delta)._product(power)
+    return out
 
 
 @dataclass(frozen=True)
@@ -138,7 +206,7 @@ def laurent_series_norm(f: LaurentOrePoly, lam, rho: float) -> float:
     if rho <= 0:
         raise ValueError("rho must be positive")
     rho = float(rho)
-    return sum(f.spec.seminorm(a, lam) * rho**i for i, a in f.coeffs.items())
+    return sum(f.spec.seminorm(a, lam) * rho**i for i, a in f.terms.items())
 
 
 # ---------------------------------------------------------------------------

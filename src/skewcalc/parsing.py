@@ -277,55 +277,47 @@ def parse_scalar(text: str) -> GaussianRational:
 
 def format_base(el, kind: str) -> str:
     """Canonical text form of a base element, e.g. '3/2*z^2 - z + 1'."""
-    if el.is_zero():
-        return "0"
-    parts = []
     if kind == "free":
         keys = sorted(el.coeffs, key=lambda v: (len(v), v))
-        for v in keys:
-            gens = "*".join(f"g{i + 1}" for i in v)
-            parts.append((el.coeffs[v], gens))
+        variables = ["*".join(f"g{i + 1}" for i in v) for v in keys]
     else:
-        for m in sorted(el.coeffs, reverse=True):
-            var = "" if m == 0 else ("z" if m == 1 else f"z^{m}")
-            parts.append((el.coeffs[m], var))
-    out = ""
-    for coeff, var in parts:
-        coeff = GaussianRational.of(coeff)
-        if coeff.im != 0:
-            text = f"({coeff})"
-            sign = "+"
-        elif coeff.re < 0:
-            sign = "-"
-            text = str(-coeff)
+        keys = sorted(el.coeffs, reverse=True)
+        variables = ["" if m == 0 else "z" if m == 1 else f"z^{m}" for m in keys]
+    parts = []
+    for key, var in zip(keys, variables):
+        coeff = GaussianRational.of(el.coeffs[key])
+        text = f"({coeff})" if coeff.im else str(coeff)
+        if not var:
+            parts.append(text)
+        elif text in ("1", "-1"):
+            parts.append(text[:-1] + var)  # a unit keeps only its sign
         else:
-            sign = "+"
-            text = str(coeff)
-        if var:
-            body = var if text == "1" else f"{text}*{var}"
-        else:
-            body = text
-        if not out:
-            out = body if sign == "+" else f"-{body}"
-        else:
-            out += f" {sign} {body}"
-    return out
+            parts.append(f"{text}*{var}")
+    return _join(parts)
 
 
 def _join_terms(terms, kind: str) -> str:
-    """Join (base coefficient, monomial text) pairs, e.g. '(2*z)*t^3 - x1 + 1'.
+    """Join (base coefficient, monomial text) pairs, e.g. '(2*z)*t^3 + x1 - 1'.
 
-    An empty monomial text marks the constant term; '0' is the empty sum.
+    An empty monomial text marks the constant term.
     """
-    out = ""
+    parts = []
     for a, mono in terms:
         base = format_base(a, kind)
         if not mono:
-            part = base
+            parts.append(base)
         elif base == "1":
-            part = mono
+            parts.append(mono)
         else:
-            part = f"({base})*{mono}"
+            parts.append(f"({base})*{mono}")
+    return _join(parts)
+
+
+def _join(parts) -> str:
+    """The sum of the parts; one that starts with '-' is subtracted, and
+    '0' is the empty sum."""
+    out = ""
+    for part in parts:
         if not out:
             out = part
         elif part.startswith("-"):
@@ -347,11 +339,6 @@ def _format_word(w: Word) -> str:
     )
 
 
-def format_series(f: TwistedSeries) -> str:
-    """Canonical text form, words ordered by (length, lexicographic)."""
-    return _join_terms(((f.terms[w], _format_word(w)) for w in f.words()), f.spec.kind)
-
-
 def format_ore(p: LaurentOrePoly) -> str:
     """Canonical text form, exponents descending, e.g. '(2*z)*t^3 + t^-1'."""
     terms = ((p.coeffs[i], "" if i == 0 else "t" if i == 1 else f"t^{i}")
@@ -360,8 +347,10 @@ def format_ore(p: LaurentOrePoly) -> str:
 
 
 def format_element(obj) -> str:
+    """Canonical text form; a series has its words ordered by (length,
+    lexicographic), e.g. '(2*z)*x1*x2 - x2^2 + 1'."""
     if isinstance(obj, TwistedSeries):
-        return format_series(obj)
+        return _join_terms(((obj.terms[w], _format_word(w)) for w in obj.words()), obj.spec.kind)
     if isinstance(obj, LaurentOrePoly):
         return format_ore(obj)
     raise TypeError(f"cannot format {type(obj).__name__}")

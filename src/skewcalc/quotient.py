@@ -1,14 +1,14 @@
 """The analytic Laurent algebra as a quotient of the twisted series algebra.
 
 Over the entire base the quotient by the ideal generated by
-``x1*x2 - 1`` and ``x2*x1 - 1`` is the Laurent skew algebra, and
-:func:`reduce_to_ore` (x^w -> t^{c(w)}) is the one normal form this
-module reads.  The winding functional phi(m, n) is the z^m coefficient
-of the t^n coefficient of ``reduce_to_ore(f)``, so f lies in the ideal
-exactly when that reduction is zero.  On the scaling base the module
-also builds the canonical coset representative whose weighted norm
-realizes the quotient seminorm, and runs the collapse-to-zero
-diagnostics.
+``x1*x2 - 1`` and ``x2*x1 - 1`` is the Laurent skew algebra, and the
+class of f there, ``reduce_to_ore(f)`` (x^w -> t^{c(w)}), is the one
+normal form this module reads; so each invariant takes a series or its
+Ore class alike, and refuses a truncated input.  The winding functional
+phi(m, n) is the z^m coefficient of the t^n coefficient of the class.
+On the scaling base the module also builds the canonical coset
+representative whose weighted norm realizes the quotient seminorm, and
+runs the collapse-to-zero diagnostics.
 """
 
 from __future__ import annotations
@@ -24,11 +24,20 @@ from .words import canonical_word, counts, winding
 from .ore import LaurentOrePoly
 
 
-def _require_entire(f: TwistedSeries):
+def _require_entire(f):
     if f.spec.kind != "entire":
         raise UnsupportedAutomorphism(
             "winding functionals need z-monomial coefficients (entire base)"
         )
+
+
+def _ore_class(f) -> LaurentOrePoly:
+    """The class of f (a series or already its class) on the entire base."""
+    _require_entire(f)
+    ore = reduce_to_ore(f)
+    if ore.truncated:
+        raise ValueError("the caps dropped terms of the input, so its class is unknown")
+    return ore
 
 
 def _require_scale(spec: BaseSpec):
@@ -38,19 +47,17 @@ def _require_scale(spec: BaseSpec):
         raise UnsupportedAutomorphism("|q| = 1 is excluded")
 
 
-def phi_table(f: TwistedSeries) -> dict:
-    """Nonzero functional values keyed by (m, n), read off reduce_to_ore(f)."""
-    _require_entire(f)
-    ore = reduce_to_ore(f)
-    return {(m, n): c for n, a in ore.coeffs.items() for m, c in a.coeffs.items()}
+def phi_table(f) -> dict:
+    """Nonzero functional values keyed by (m, n), read off f's Ore class."""
+    return {(m, n): c for n, a in _ore_class(f).terms.items() for m, c in a.coeffs.items()}
 
 
-def phi(f: TwistedSeries, m: int, n: int) -> GaussianRational:
+def phi(f, m: int, n: int) -> GaussianRational:
     """Sum of the z^m coefficients of f over all words of winding n."""
     return phi_table(f).get((m, n), GaussianRational())
 
 
-def phi_support(f: TwistedSeries):
+def phi_support(f):
     """Exactly the (m, n) pairs with a nonzero functional value, sorted."""
     return sorted(phi_table(f))
 
@@ -77,10 +84,9 @@ def collapse_bidegree(f: TwistedSeries) -> dict:
             for w, a in bidegree_series(f).terms.items() for m, c in a.coeffs.items()}
 
 
-def ideal_member(f: TwistedSeries) -> bool:
+def ideal_member(f) -> bool:
     """True iff every winding functional vanishes on f (exact)."""
-    _require_entire(f)
-    return reduce_to_ore(f).is_zero()
+    return _ore_class(f).is_zero()
 
 
 def relators(spec: BaseSpec, **caps) -> tuple[TwistedSeries, TwistedSeries]:
@@ -118,61 +124,57 @@ class CanonicalRep:
     dropped: frozenset  # (m, n) classes annihilated by the quotient seminorm
 
 
-def canonical_representative(f: TwistedSeries, rho: float) -> CanonicalRep:
+def canonical_representative(f, rho: float) -> CanonicalRep:
     """The coset representative whose weighted norm is the quotient seminorm.
 
-    Requires the scaling base with |q| != 1.  For |q| > 1, classes (m, n)
-    fall into three regimes by comparing |q|^m against rho and rho^2: plain
-    winding words, winding words padded with a single trailing x2, or
-    dropped entirely (the quotient seminorm kills them).  For |q| < 1 the
-    swap symmetry (exchange the generators and invert q) mirrors the
-    representative of the swapped series, so padding is by a trailing x1
-    and a dropped class (m, n) is the swapped series' (m, -n).
+    Requires the scaling base with |q| != 1; f is a series or its Ore
+    class.  For |q| > 1, classes (m, n) fall into three regimes by
+    comparing |q|^m against rho and rho^2: plain winding words, winding
+    words padded with a single trailing x2, or dropped entirely (the
+    quotient seminorm kills them).  For |q| < 1 the swap symmetry
+    (exchange the generators and invert q) mirrors this: the regimes
+    compare |1/q|^m, and padding, on n < 0, is by a trailing x1.  The
+    representative's caps are the least that hold its terms.
     """
     _require_scale(f.spec)
-    if not f.spec.aut.abs_gt_one():
-        rep = canonical_representative(_swap_series(f), rho)
-        dropped = frozenset((m, -n) for m, n in rep.dropped)
-        return CanonicalRep(_swap_series(rep.series), dropped)
     if rho <= 0:
         raise ValueError("rho must be positive")
+    expanding = f.spec.aut.abs_gt_one()
+    q = f.spec.aut.q if expanding else f.spec.aut.q.inverse()
     terms: dict = {}
     dropped = set()
-    max_len = f.max_word_len
+    max_len = max_degree = 0
     for (m, n), c in phi_table(f).items():
-        regime = _regime(f.spec.aut.q, m, rho)
-        if regime == _PLAIN:
-            w = _winding_word(n)
-        elif regime == _PADDED:
-            w = (1,) * (n + 1) + (2,) if n > 0 else _winding_word(n)
-        else:
+        regime = _regime(q, m, rho)
+        if regime == _DROPPED:
             dropped.add((m, n))
             continue
+        w = _winding_word(n)
+        if regime == _PADDED and (n > 0 if expanding else n < 0):
+            w += (w[0], 3 - w[0])  # one more of its letter, then the other
         max_len = max(max_len, len(w))
+        max_degree = max(max_degree, m)
         coeff = f.spec.monomial(c, m)
         terms[w] = terms[w] + coeff if w in terms else coeff
-    series = TwistedSeries(f.spec, terms, max_word_len=max_len, max_degree=f.max_degree)
+    series = TwistedSeries(f.spec, terms, max_word_len=max_len, max_degree=max_degree)
     return CanonicalRep(series, frozenset(dropped))
 
 
-def _swap_series(f: TwistedSeries) -> TwistedSeries:
-    """Exchange the two generators; the base automorphism inverts."""
-    swapped = {tuple(3 - letter for letter in w): a for w, a in f.terms.items()}
-    return TwistedSeries(f.spec.inverse(), swapped, max_word_len=f.max_word_len,
-                         max_degree=f.max_degree)
-
-
-def quotient_norm(f: TwistedSeries, lam, rho: float, paper_display: bool = False) -> float:
+def quotient_norm(f, lam, rho: float, paper_display: bool = False) -> float:
     """The quotient seminorm of f's coset, via its canonical representative.
 
-    For |q| < 1 the value is obtained by the swap symmetry (exchange the
-    generators and invert q).  With ``paper_display=True`` the literal
-    published closed-form display is evaluated instead, for comparison;
-    the representative-based value is the one the inequalities certify.
+    f is a series or its Ore class.  For |q| < 1 the value is obtained by
+    the swap symmetry (exchange the generators and invert q), which maps
+    the class t^n -> t^-n over the inverse spec.  With ``paper_display=True``
+    the literal published closed-form display is evaluated instead, for
+    comparison; the representative-based value is the one the
+    inequalities certify.
     """
     _require_scale(f.spec)
     if not f.spec.aut.abs_gt_one():
-        return quotient_norm(_swap_series(f), lam, rho, paper_display)
+        ore = _ore_class(f)
+        swapped = LaurentOrePoly(f.spec.inverse(), {-n: a for n, a in ore.terms.items()})
+        return quotient_norm(swapped, lam, rho, paper_display)
     if paper_display:
         return _display_norm(f, lam, rho)
     rep = canonical_representative(f, rho)
@@ -180,7 +182,7 @@ def quotient_norm(f: TwistedSeries, lam, rho: float, paper_display: bool = False
     return value
 
 
-def _display_norm(f: TwistedSeries, lam, rho: float) -> float:
+def _display_norm(f, lam, rho: float) -> float:
     # literal transcription of the published quotient-norm display,
     # kept only as a comparison flag (its middle exponent disagrees with
     # the representative norm by one power of |q|^m)
@@ -200,13 +202,18 @@ def _display_norm(f: TwistedSeries, lam, rho: float) -> float:
     return total
 
 
-def reduce_to_ore(f: TwistedSeries) -> LaurentOrePoly:
-    """Ring homomorphism onto the Laurent skew extension: x^w -> t^{c(w)}."""
+def reduce_to_ore(f) -> LaurentOrePoly:
+    """Ring homomorphism onto the Laurent skew extension: x^w -> t^{c(w)}.
+
+    The result keeps f's ``truncated`` flag; an Ore class maps to itself.
+    """
+    if isinstance(f, LaurentOrePoly):
+        return f
     coeffs: dict = {}
     for w, a in f.terms.items():
         n = winding(w)
         coeffs[n] = coeffs[n] + a if n in coeffs else a
-    return LaurentOrePoly(f.spec, coeffs)
+    return LaurentOrePoly.zero(f.spec)._derived(coeffs, f.truncated)
 
 
 # ---------------------------------------------------------------------------

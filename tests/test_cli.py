@@ -123,11 +123,26 @@ def test_truncated_input_is_reported(capsys):
     assert code == 0
     assert out.splitlines()[1:] == ["1.0,1.0,0.0,truncated", "1.0,2.0,0.0,truncated"]
     assert "warning" in err
-    code, out, err = run(capsys, ["ideal-test", "x1^17"])
-    assert (code, out.strip()) == (0, "true")
-    assert "warning" in err
+    # every other command refuses an input, or a product, that the caps cut down
+    for argv in (["ideal-test", "x1^17"], ["qnorm", "x1^17", "--rho", "2"], ["phi", "x1^17"],
+                 ["reduce", "x1^17"], ["to-ore", "x1^17"], ["mul", "x1^10", "x1^10"],
+                 ["vanishing", "--r", "z^40"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "caps L = 16 and D = 32" in err
     code, out, err = run(capsys, ["norm", "x1^16"])
     assert (code, out.strip(), err) == (0, "1.0 (exact)", "")
+
+
+def test_quotient_commands_read_the_ore_picture(capsys):
+    # the quotient depends only on the class: z*t is the class of z*x1
+    for argv in (["qnorm", "{}", "--rho", "3/2"], ["reduce", "{}", "--rho", "3/2"],
+                 ["phi", "{}"], ["ideal-test", "{}"], ["to-ore", "{}"]):
+        series = run(capsys, [arg.format("z*x1") for arg in argv])
+        ore = run(capsys, [arg.format("z*t") for arg in argv])
+        assert ore == series and ore[0] == 0, argv
+    assert run(capsys, ["qnorm", "z*t", "--rho", "3/2"])[1] == "0.84375\n"
+    assert run(capsys, ["mul", "t", "x1"])[0] == 3
 
 
 def test_phi_outputs(capsys, scale2_cfg):

@@ -13,15 +13,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewcalc import (
+    BaseSpec,
     DiagonalAut,
     EntirePoly,
     FreeSeries,
     GaussianRational,
+    IdentityAut,
     IntervalPoly,
+    LaurentOrePoly,
+    PolyDerivation,
     ScaleAut,
     ShiftAut,
     TwistedSeries,
     mul,
+    ore_mul,
 )
 from skewcalc.bases import MismatchedBaseError
 
@@ -167,7 +172,12 @@ CAPS = dict(max_word_len=6, max_degree=8)
 
 
 def assert_clean_series(r):
-    rebuilt = TwistedSeries(r.spec, dict(r.terms), r.max_word_len, r.max_degree, r.truncated)
+    if isinstance(r, LaurentOrePoly):
+        rebuilt = LaurentOrePoly(r.spec, dict(r.coeffs), r.delta, r.truncated)
+        assert rebuilt.delta is r.delta
+        assert all(type(i) is int for i in r.coeffs)
+    else:
+        rebuilt = TwistedSeries(r.spec, dict(r.terms), r.max_word_len, r.max_degree, r.truncated)
     assert rebuilt == r
     assert rebuilt.truncated == r.truncated
     assert all(not a.is_zero() for a in r.terms.values())
@@ -184,6 +194,19 @@ def test_series_arithmetic_builds_clean_series(scale2_spec):
     product = mul(one + x1, one - x1)
     assert_clean_series(product)
     assert set(product.terms) == {(), (1, 1)}
+    # the Ore picture, without and with the derivation d/dz
+    p = LaurentOrePoly(scale2_spec, {-1: EntirePoly({0: 1, 1: 2}), 2: EntirePoly({3: -1})})
+    q = LaurentOrePoly(scale2_spec, {1: EntirePoly({1: 1}), 2: EntirePoly({3: 1})})
+    for r in (p + q, p - p, p - q, -p, p.scale(3), ore_mul(p, q), ore_mul(q, p) - ore_mul(p, q)):
+        assert_clean_series(r)
+    weyl, ddz = BaseSpec("entire", IdentityAut()), PolyDerivation()
+    t = LaurentOrePoly.term(weyl, weyl.one(), 1, ddz)
+    z = LaurentOrePoly.term(weyl, EntirePoly({1: 1}), 0, ddz)
+    w = t + z
+    for r in (w + w, w - w, -w, ore_mul(w, w), ore_mul(t, z) - ore_mul(z, t)):
+        assert_clean_series(r)
+    # t z - z t = 1: the z t terms cancel
+    assert (ore_mul(t, z) - ore_mul(z, t)).coeffs == {0: weyl.one()}
 
 
 def test_series_results_keep_truncated_flag(scale2_spec):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcalc import (
     BaseSpec,
@@ -30,7 +31,7 @@ from skewcalc.parsing import format_ore
 from skewcalc.quotient import bidegree_series, phi_support, phi_table
 from skewcalc.words import winding
 
-from conftest import rand_entire, rand_series
+from conftest import q_of, rand_entire, rand_series
 
 CAPS = dict(max_word_len=24, max_degree=32)
 
@@ -369,3 +370,47 @@ def test_vanishing_rejects_nonpositive_rho(scale2_spec):
     for rhos in ([0], [1, -1]):
         with pytest.raises(ValueError, match="rho must be positive"):
             vanishing_test(scale2_spec, EntirePoly.one(), [1], rhos, 4)
+
+
+# -- the two pictures ----------------------------------------------------------
+
+coefficients = st.dictionaries(
+    st.integers(0, 3),
+    st.sampled_from([Fraction(x) for x in ("1", "-1", "2", "1/2", "-3/2")]),
+    min_size=1, max_size=2,
+).map(EntirePoly)
+words = st.lists(st.sampled_from((1, 2)), max_size=3).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.sampled_from(("2", "1/2", "3/2")),
+    terms=st.dictionaries(words, coefficients, max_size=4),
+    in_ideal=st.booleans(),
+    lam=st.sampled_from((1, 2)),
+    rho=st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0, 4.0)),
+)
+def test_quotient_reads_only_the_ore_class(q, terms, in_ideal, lam, rho):
+    spec = BaseSpec("entire", ScaleAut(q_of(q)))
+    f = series(spec, terms)
+    if in_ideal:
+        f = mul(f, relators(spec, **CAPS)[0])
+    ore = reduce_to_ore(f)
+    assert quotient_norm(f, lam, rho) == quotient_norm(ore, lam, rho)
+    rep, rep_ore = canonical_representative(f, rho), canonical_representative(ore, rho)
+    assert rep.series == rep_ore.series and rep.dropped == rep_ore.dropped
+    assert phi_table(f) == phi_table(ore)
+    assert ideal_member(f) == ideal_member(ore)
+    if in_ideal:
+        assert ideal_member(ore)
+
+
+def test_truncated_input_has_no_class(scale2_spec, scale_half_spec):
+    for spec in (scale2_spec, scale_half_spec):
+        x1 = TwistedSeries.generator(spec, 1, max_word_len=1, max_degree=8)
+        cut = mul(x1, x1) + x1
+        assert cut.truncated and reduce_to_ore(cut).truncated
+        for read in (phi_table, ideal_member, lambda f: canonical_representative(f, 2.0),
+                     lambda f: quotient_norm(f, 1, 2.0)):
+            with pytest.raises(ValueError):
+                read(cut)
