@@ -511,9 +511,6 @@ class BaseSpec:
 
     # -- structure ---------------------------------------------------------
 
-    def aut_apply(self, el, k: int):
-        return self.aut.apply(el, k)
-
     def inverse(self) -> "BaseSpec":
         return BaseSpec(self.kind, self.aut.inverse(), self.ngens)
 
@@ -540,7 +537,7 @@ class BaseSpec:
         if self.kind == "entire" and self.aut.kind == "scale":
             return self._twisted_entire_scale(el, w, lam)
         if self.kind == "interval" and self.aut.kind == "shift":
-            window = self._shift_window(w, lam)
+            window = interval(w, lam, step=self.aut.step)
             return interval_seminorm(el, window), Exactness.EXACT
         if self.aut.kind == "identity":
             return self.seminorm(el, lam), Exactness.EXACT
@@ -548,10 +545,6 @@ class BaseSpec:
             return self._twisted_entire_shift(el, w, lam)
         # free/diagonal: best slot-placement upper bound
         return self._slot_upper_bound(el, w, lam), Exactness.UPPER_BOUND
-
-    def _shift_window(self, w: Word, lam):
-        """The window of w at half-width lam: see :func:`words.interval`."""
-        return interval(w, lam, step=self.aut.step)
 
     def _twisted_entire_scale(self, el, w, lam):
         if self.aut.abs_is_one():
@@ -600,7 +593,7 @@ def i_w_apply(spec: BaseSpec, w: Word, factors):
     sums = partial_sums(w)
     out = factors[0]
     for i in range(1, len(w)):
-        out = out * spec.aut_apply(factors[i], sums[i])
+        out = out * spec.aut.apply(factors[i], sums[i])
     return out
 
 

@@ -7,6 +7,7 @@ down, 3 unsupported configuration for the requested command.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,8 +138,12 @@ def _grid(text: str | None, flag: str, single: Fraction) -> list:
         raise ValueError(f"argument {flag}: {exc}") from None
 
 
-def _fmt_value(value: float) -> str:
-    return repr(float(value))
+def _fmt_value(value, spec: str = "") -> str:
+    """value as a float in format spec (repr by default); inf and nan are overflows."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise OverflowError
+    return format(value, spec)
 
 
 class UnsupportedCommand(RuntimeError):
@@ -160,35 +165,33 @@ def _norm(parsed, lam, rho) -> tuple[float, Exactness]:
     return laurent_series_norm(parsed, lam, rho), Exactness.EXACT
 
 
-# expression operands each command reads
-_OPERANDS = {
-    "mul": 2, "norm": 1, "qnorm": 1, "reduce": 1, "phi": 1, "ideal-test": 1,
-    "to-ore": 1, "localizability": 0, "vanishing": 0, "table": 1,
+# per command: the expression operands it reads, and each option it reads
+# besides --config, with its default (None: no default);
+# naming another option is an error
+_COMMANDS = {
+    "mul": (2, {}),
+    "norm": (1, {"--lambda": Fraction(1), "--rho": Fraction(1)}),
+    "qnorm": (1, {"--lambda": Fraction(1), "--rho": Fraction(1), "--paper-display": False}),
+    "reduce": (1, {"--rho": Fraction(1)}),
+    "phi": (1, {"--m": None, "--n": None}),
+    "ideal-test": (1, {}),
+    "to-ore": (1, {}),
+    "localizability": (0, {"--lambda": Fraction(1), "--lambda-grid": None, "--depth": 8}),
+    "vanishing": (0, {"--lambda": Fraction(1), "--rho": Fraction(1), "--lambda-grid": None,
+                      "--rho-grid": None, "--depth": 12, "--r": "1", "--format": "text"}),
+    "table": (1, {"--lambda": Fraction(1), "--rho": Fraction(1), "--lambda-grid": None,
+                  "--rho-grid": None}),
 }
-
-# options each command reads besides --config; naming another is an error
-_OPTIONS = {
-    "mul": (), "norm": ("--lambda", "--rho"),
-    "qnorm": ("--lambda", "--rho", "--paper-display"), "reduce": ("--rho",),
-    "phi": ("--m", "--n"), "ideal-test": (), "to-ore": (),
-    "localizability": ("--lambda", "--lambda-grid", "--depth"),
-    "vanishing": ("--lambda", "--rho", "--lambda-grid", "--rho-grid", "--depth", "--r",
-                  "--format"),
-    "table": ("--lambda", "--rho", "--lambda-grid", "--rho-grid"),
-}
-
 
 def run_command(args, config: SessionConfig, out=None) -> int:
-    if out is None:
-        out = sys.stdout
     cmd = args.command
-    needed = _OPERANDS.get(cmd)
-    if needed is None:
+    if cmd not in _COMMANDS:
         raise UnsupportedCommand(f"unknown command {cmd!r}")
+    needed, options = _COMMANDS[cmd]
     if len(args.exprs) != needed:
         raise ValueError(f"{cmd} takes {needed} expression{'' if needed == 1 else 's'},"
                          f" got {len(args.exprs)}")
-    unread = [flag for flag in args.given if flag not in _OPTIONS[cmd]]
+    unread = [flag for flag in args.given if flag not in options]
     if unread:
         raise ValueError(f"{cmd} does not read {', '.join(unread)}")
     for single, grid in (("--lambda", "--lambda-grid"), ("--rho", "--rho-grid")):
@@ -209,6 +212,8 @@ def run_command(args, config: SessionConfig, out=None) -> int:
     def parse(source: str):
         return admit(parse_expr(source, config.spec, config.caps, config.delta))
 
+    # every line is formatted before any is printed, so a failure prints nothing
+    lines = []
     if cmd == "mul":
         lhs, rhs = parse(args.exprs[0]), parse(args.exprs[1])
         if type(lhs) is not type(rhs):
@@ -224,84 +229,74 @@ def run_command(args, config: SessionConfig, out=None) -> int:
             lhs, rhs = lift(lhs), lift(rhs)
         if type(lhs) is not type(rhs):
             raise UnsupportedCommand("operands must both use x1/x2 or both use t")
-        print(format_element(admit(lhs * rhs)), file=out)
+        lines.append(format_element(admit(lhs * rhs)))
     elif cmd == "norm":
         parsed = parse(args.exprs[0])
         value, exactness = _norm(parsed, args.lam, args.rho)
         tag = f" ({exactness.value})" if isinstance(parsed, TwistedSeries) else ""
-        print(f"{_fmt_value(value)}{tag}", file=out)
+        lines.append(f"{_fmt_value(value)}{tag}")
     elif cmd == "qnorm":
         value = quotient_norm(parse(args.exprs[0]), args.lam, float(args.rho),
                               paper_display=args.paper_display)
-        print(_fmt_value(value), file=out)
+        lines.append(_fmt_value(value))
     elif cmd == "reduce":
         rep = canonical_representative(parse(args.exprs[0]), float(args.rho))
-        print(format_element(rep.series), file=out)
+        lines.append(format_element(rep.series))
         if rep.dropped:
             dropped = ", ".join(f"(m={m}, n={n})" for m, n in sorted(rep.dropped))
-            print(f"dropped classes: {dropped}", file=out)
+            lines.append(f"dropped classes: {dropped}")
     elif cmd == "phi":
         if (args.m is None) != (args.n is None):
             raise ValueError("phi takes --m and --n together, or neither")
         parsed = parse(args.exprs[0])
         if args.m is not None:
-            print(str(phi(parsed, args.m, args.n)), file=out)
+            lines.append(str(phi(parsed, args.m, args.n)))
         else:
-            table = phi_table(parsed)
-            if not table:
-                print("0", file=out)
-            for (m, n), value in sorted(table.items()):
-                print(f"phi({m},{n}) = {value}", file=out)
+            lines = [f"phi({m},{n}) = {value}"
+                     for (m, n), value in sorted(phi_table(parsed).items())] or ["0"]
     elif cmd == "ideal-test":
-        print("true" if ideal_member(parse(args.exprs[0])) else "false", file=out)
+        lines.append("true" if ideal_member(parse(args.exprs[0])) else "false")
     elif cmd == "to-ore":
-        print(format_element(reduce_to_ore(parse(args.exprs[0]))), file=out)
+        lines.append(format_element(reduce_to_ore(parse(args.exprs[0]))))
     elif cmd == "localizability":
         lams = _grid(args.lambda_grid, "--lambda-grid", args.lam)
-        reports = localizability_probe(
-            config.spec, lams, 8 if args.depth is None else args.depth
-        )
-        for report in reports:
+        for report in localizability_probe(config.spec, lams, args.depth):
             fwd, bwd = report.forward, report.backward
-            print(
-                f"lambda={float(report.lam)}: forward {fwd.verdict}"
-                f" (sup ratio {fwd.sup_ratio:.6g})"
-                f", inverse {bwd.verdict} (sup ratio {bwd.sup_ratio:.6g})",
-                file=out,
+            lines.append(
+                f"lambda={_fmt_value(report.lam)}: forward {fwd.verdict}"
+                f" (sup ratio {_fmt_value(fwd.sup_ratio, '.6g')})"
+                f", inverse {bwd.verdict} (sup ratio {_fmt_value(bwd.sup_ratio, '.6g')})"
             )
             if not report.family_bounded:
-                print(
-                    "  family not certified bounded at this seminorm"
-                    " (no negative certificate implied)",
-                    file=out,
-                )
+                lines.append("  family not certified bounded at this seminorm"
+                             " (no negative certificate implied)")
     elif cmd == "vanishing":
-        r = _base_element(parse(args.r if args.r is not None else "1"))
+        r = _base_element(parse(args.r))
         lams = _grid(args.lambda_grid, "--lambda-grid", args.lam)
         rhos = _grid(args.rho_grid, "--rho-grid", args.rho)
-        report = vanishing_test(
-            config.spec, r, lams, rhos, 12 if args.depth is None else args.depth
-        )
+        report = vanishing_test(config.spec, r, lams, rhos, args.depth)
         if args.format == "csv":
-            print("lambda,rho,k,value,verdict", file=out)
+            lines.append("lambda,rho,k,value,verdict")
             verdict = report.verdict.value
-            for lam, rho, k, value in report.rows:
-                print(f"{float(lam)},{float(rho)},{k},{_fmt_value(value)},{verdict}", file=out)
+            lines += [f"{_fmt_value(lam)},{_fmt_value(rho)},{k},{_fmt_value(value)},{verdict}"
+                      for lam, rho, k, value in report.rows]
         else:
-            print(report.verdict.value, file=out)
+            lines.append(report.verdict.value)
             if not report.r_invertible and report.verdict.value != "NoDecay":
-                print("note: r is not invertible; only membership of the"
-                      " closed ideal follows", file=out)
+                lines.append("note: r is not invertible; only membership of the"
+                             " closed ideal follows")
     elif cmd == "table":
         parsed = parse(args.exprs[0])
         lams = _grid(args.lambda_grid, "--lambda-grid", args.lam)
         rhos = _grid(args.rho_grid, "--rho-grid", args.rho)
-        # every row is computed before the header, so a failing one prints nothing
-        rows = [(lam, rho, *_norm(parsed, lam, rho))
-                for lam in sorted(lams, key=float) for rho in sorted(rhos, key=float)]
-        print("lambda,rho,value,exactness", file=out)
-        for lam, rho, value, exactness in rows:
-            print(f"{float(lam)},{float(rho)},{_fmt_value(value)},{exactness.value}", file=out)
+        lines.append("lambda,rho,value,exactness")
+        for lam in sorted(lams, key=float):
+            for rho in sorted(rhos, key=float):
+                value, exactness = _norm(parsed, lam, rho)
+                lines.append(f"{_fmt_value(lam)},{_fmt_value(rho)},{_fmt_value(value)},"
+                             f"{exactness.value}")
+    for line in lines:
+        print(line, file=out)
     if truncated:
         print("warning: terms beyond the caps were dropped", file=sys.stderr)
     return 0
@@ -315,7 +310,7 @@ def _build_parser() -> tuple:
         description="Seminorm analytics for skew polynomial and twisted series algebras",
     )
     parser.add_argument("--config", metavar="PATH")
-    parser.add_argument("command", choices=list(_OPERANDS))
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("exprs", nargs="*")
     # no defaults here: an option left at None was not given (see _parse_args)
     options = [
@@ -334,7 +329,6 @@ def _build_parser() -> tuple:
 
 
 _PARSER, _FLAGS = _build_parser()
-_DEFAULTS = {"lam": Fraction(1), "rho": Fraction(1), "paper_display": False, "format": "text"}
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
@@ -347,16 +341,17 @@ def _parse_args(argv=None) -> argparse.Namespace:
     it, and a token that came before the command is rejected, since it
     would be read after the operands that follow the command.  The flags
     of the command options given go to ``args.given``, before the options
-    not given take their ``_DEFAULTS``.
+    not given take their defaults in ``_COMMANDS``.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args, rest = _PARSER.parse_known_args(argv)
     if rest:
         args.exprs += _leftover_operands(argv, args, rest)
     args.given = [flag for dest, flag in _FLAGS.items() if getattr(args, dest) is not None]
-    for dest, value in _DEFAULTS.items():
+    defaults = _COMMANDS[args.command][1]
+    for dest, flag in _FLAGS.items():
         if getattr(args, dest) is None:
-            setattr(args, dest, value)
+            setattr(args, dest, defaults.get(flag))
     return args
 
 
@@ -404,6 +399,11 @@ def main(argv=None) -> int:
     except CannotCertifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError:
+        # one message in place of an errno tuple or an inf
+        print(f"error: a value overflows the float range (largest magnitude"
+              f" {sys.float_info.max:.4g})", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

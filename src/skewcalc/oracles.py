@@ -31,7 +31,7 @@ def _slot_decompositions(spec: BaseSpec, f, w: Word):
     sums = partial_sums(w)
     for slot in range(len(w)):
         factors = [spec.one()] * len(w)
-        factors[slot] = spec.aut_apply(f, -sums[slot])
+        factors[slot] = spec.aut.apply(f, -sums[slot])
         out.append([tuple(factors)])
     return out
 

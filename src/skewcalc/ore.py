@@ -104,7 +104,7 @@ class _TwistedMap:
 
     def _product(self, other):
         """The twisted product; a term that does not fit is dropped, setting the flag."""
-        aut_apply = self.spec.aut_apply
+        apply = self.spec.aut.apply
         fits = self._fits
         out: dict = {}
         truncated = self.truncated or other.truncated
@@ -112,7 +112,7 @@ class _TwistedMap:
             twist = self._twist(k1)
             for k2, b in other.terms.items():
                 k = k1 + k2
-                term = a * aut_apply(b, twist)
+                term = a * apply(b, twist)
                 if not fits(k, term):
                     if term.coeffs:
                         truncated = True
@@ -152,11 +152,6 @@ class LaurentOrePoly(_TwistedMap):
                 "a nonzero derivation requires nonnegative exponents"
             )
 
-    @property
-    def coeffs(self) -> dict:
-        """The terms, keyed by the exponent of t."""
-        return self.terms
-
     def __mul__(self, other):
         return ore_mul(self, other)
 
@@ -195,7 +190,7 @@ def alpha_derivation_check(spec: BaseSpec, delta, samples) -> DerivationReport:
     """Verify delta(ab) = alpha(a) delta(b) + delta(a) b on sample pairs."""
     for a, b in samples:
         lhs = delta.apply(a * b)
-        rhs = spec.aut_apply(a, 1) * delta.apply(b) + delta.apply(a) * b
+        rhs = spec.aut.apply(a, 1) * delta.apply(b) + delta.apply(a) * b
         if lhs != rhs:
             return DerivationReport(False, (a, b))
     return DerivationReport(True)
@@ -246,7 +241,7 @@ def _basis_elements(spec: BaseSpec, cap: int):
 def _direction_report(spec: BaseSpec, lam, basis: list, cap: int,
                       direction: int) -> DirectionReport:
     """basis holds (degree, monomial, its seminorm), every seminorm nonzero."""
-    ratios = [(degree, spec.seminorm(spec.aut_apply(e, direction), lam) / denom)
+    ratios = [(degree, spec.seminorm(spec.aut.apply(e, direction), lam) / denom)
               for degree, e, denom in basis]
     sup_ratio = max(ratio for _, ratio in ratios)
     aut = spec.aut

@@ -1,7 +1,8 @@
 """Text forms for elements: parser, canonical printer, config files.
 
 Grammar: an expression is a sum of terms; a term is a product (explicit
-``*`` or juxtaposition) of powered atoms.  Atoms are rational numbers
+``*`` or juxtaposition) of factors; a factor is a powered atom, or a
+sign and the factor after it (``-2^2`` is -4).  Atoms are rational numbers
 (``3/2``), imaginary literals (``2i``, ``i``), the base variable ``z``,
 free generators ``g1``, ``g2``, ..., the series generators ``x1``/``x2``,
 the skew variable ``t``, or a parenthesized subexpression.  Only ``t``
@@ -103,14 +104,7 @@ class _Parser:
         return value
 
     def expression(self):
-        kind, text, _ = self.peek()
-        negate = False
-        if kind == "op" and text in "+-":
-            self.advance()
-            negate = text == "-"
         value = self.term()
-        if negate:
-            value = -value
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
@@ -121,16 +115,25 @@ class _Parser:
                 return value
 
     def term(self):
-        value = self.power()
+        value = self.factor()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
-                value = value * self.power()
+                value = value * self.factor()
             elif kind in ("number", "imag", "ident") or (kind == "op" and text == "("):
-                value = value * self.power()
+                value = value * self.factor()
             else:
                 return value
+
+    def factor(self):
+        # the one place a sign is read: it applies to the factor after it
+        kind, text, _ = self.peek()
+        if kind == "op" and text in "+-":
+            self.advance()
+            value = self.factor()
+            return -value if text == "-" else value
+        return self.power()
 
     def power(self):
         value = self.atom()
@@ -171,9 +174,6 @@ class _Parser:
                 self.index -= 1
                 self.error("expected ')'")
             return value
-        if kind == "op" and text in "+-":
-            value = self.power()
-            return -value if text == "-" else value
         self.index -= 1
         self.error(f"unexpected token {text!r}")
 
@@ -341,8 +341,8 @@ def _format_word(w: Word) -> str:
 
 def format_ore(p: LaurentOrePoly) -> str:
     """Canonical text form, exponents descending, e.g. '(2*z)*t^3 + t^-1'."""
-    terms = ((p.coeffs[i], "" if i == 0 else "t" if i == 1 else f"t^{i}")
-             for i in sorted(p.coeffs, reverse=True))
+    terms = ((p.terms[i], "" if i == 0 else "t" if i == 1 else f"t^{i}")
+             for i in sorted(p.terms, reverse=True))
     return _join_terms(terms, p.spec.kind)
 
 

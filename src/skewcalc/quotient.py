@@ -8,7 +8,9 @@ Ore class alike, and refuses a truncated input.  The winding functional
 phi(m, n) is the z^m coefficient of the t^n coefficient of the class.
 On the scaling base the module also builds the canonical coset
 representative whose weighted norm realizes the quotient seminorm, and
-runs the collapse-to-zero diagnostics.
+runs the collapse-to-zero diagnostics.  For |q| < 1 the quotient is the
+|q| > 1 one with x1 and x2 exchanged, so both read the class once, with
+regimes on 1/q and the winding n mirrored to -n.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ def canonical_representative(f, rho: float) -> CanonicalRep:
     _require_scale(f.spec)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    expanding = f.spec.aut.abs_gt_one()
-    q = f.spec.aut.q if expanding else f.spec.aut.q.inverse()
+    sign = 1 if f.spec.aut.abs_gt_one() else -1  # -1: x1 and x2 trade places
+    q = f.spec.aut.q ** sign
     terms: dict = {}
     dropped = set()
     max_len = max_degree = 0
@@ -150,7 +152,7 @@ def canonical_representative(f, rho: float) -> CanonicalRep:
             dropped.add((m, n))
             continue
         w = _winding_word(n)
-        if regime == _PADDED and (n > 0 if expanding else n < 0):
+        if regime == _PADDED and n * sign > 0:
             w += (w[0], 3 - w[0])  # one more of its letter, then the other
         max_len = max(max_len, len(w))
         max_degree = max(max_degree, m)
@@ -163,18 +165,14 @@ def canonical_representative(f, rho: float) -> CanonicalRep:
 def quotient_norm(f, lam, rho: float, paper_display: bool = False) -> float:
     """The quotient seminorm of f's coset, via its canonical representative.
 
-    f is a series or its Ore class.  For |q| < 1 the value is obtained by
-    the swap symmetry (exchange the generators and invert q), which maps
-    the class t^n -> t^-n over the inverse spec.  With ``paper_display=True``
-    the literal published closed-form display is evaluated instead, for
+    f is a series or its Ore class.  With ``paper_display=True`` the
+    literal published closed-form display is evaluated instead, for
     comparison; the representative-based value is the one the
     inequalities certify.
     """
     _require_scale(f.spec)
-    if not f.spec.aut.abs_gt_one():
-        ore = _ore_class(f)
-        swapped = LaurentOrePoly(f.spec.inverse(), {-n: a for n, a in ore.terms.items()})
-        return quotient_norm(swapped, lam, rho, paper_display)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
     if paper_display:
         return _display_norm(f, lam, rho)
     rep = canonical_representative(f, rho)
@@ -185,13 +183,17 @@ def quotient_norm(f, lam, rho: float, paper_display: bool = False) -> float:
 def _display_norm(f, lam, rho: float) -> float:
     # literal transcription of the published quotient-norm display,
     # kept only as a comparison flag (its middle exponent disagrees with
-    # the representative norm by one power of |q|^m)
-    absq = abs(f.spec.aut.q)
+    # the representative norm by one power of |q|^m); for |q| < 1 it is
+    # read on the swapped class, over 1/q with t^n -> t^-n
+    sign = 1 if f.spec.aut.abs_gt_one() else -1
+    q = f.spec.aut.q ** sign
+    absq = abs(q)
     lam = float(lam)
     rho = float(rho)
     total = 0.0
     for (m, n), c in phi_table(f).items():
-        regime = _regime(f.spec.aut.q, m, rho)
+        n *= sign
+        regime = _regime(q, m, rho)
         if regime == _PLAIN:
             total += abs(c) * lam**m * absq ** (-m * max(n - 1, 0)) * rho**n
         elif regime == _PADDED:

@@ -71,14 +71,9 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, _EXACT):
-                return NotImplemented
-            other = GaussianRational(other)
-        d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        if type(other) is not GaussianRational and not isinstance(other, _EXACT):
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         return GaussianRational.of(other) - self

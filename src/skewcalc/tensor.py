@@ -105,9 +105,9 @@ def embed_ore(p, which: str = "x1", **caps) -> TwistedSeries:
         raise ValueError("which must be 'x1' or 'x2'")
     if p.delta is not None:
         raise DerivationSupportError("a skew polynomial with a derivation does not embed")
-    if any(i < 0 for i in p.coeffs):
+    if any(i < 0 for i in p.terms):
         raise ValueError("only nonnegative supports embed")
     letter = 1 if which == "x1" else 2
     spec = p.spec if which == "x1" else p.spec.inverse()
-    terms = {(letter,) * i: a for i, a in p.coeffs.items()}
+    terms = {(letter,) * i: a for i, a in p.terms.items()}
     return TwistedSeries(spec, terms, **caps)

@@ -97,7 +97,7 @@ def test_criterion_02_slot_product_concatenation(criterion):
             xs = tuple(rand_entire(rng, 3, 2) for _ in w1)
             ys = tuple(rand_entire(rng, 3, 2) for _ in w2)
             lhs = i_w_apply(spec, w1 + w2, xs + ys)
-            rhs = i_w_apply(spec, w1, xs) * spec.aut_apply(
+            rhs = i_w_apply(spec, w1, xs) * spec.aut.apply(
                 i_w_apply(spec, w2, ys), winding(w1)
             )
             assert lhs == rhs

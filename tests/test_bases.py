@@ -25,7 +25,7 @@ from skewcalc import (
 )
 from skewcalc import bases
 from skewcalc.bases import InvalidDecompositionError, i_w_apply
-from skewcalc.words import EMPTY_INTERVAL, all_words, partial_sums
+from skewcalc.words import EMPTY_INTERVAL, all_words, interval, partial_sums
 
 from conftest import (
     q_of,
@@ -251,9 +251,9 @@ def test_aut_apply_inverse_round_trip(rng, scale2_spec, shift_entire_spec,
         for _ in range(20):
             el = make(rng)
             for k in (-3, -1, 1, 4):
-                assert spec.aut_apply(spec.aut_apply(el, k), -k) == el
+                assert spec.aut.apply(spec.aut.apply(el, k), -k) == el
     el = rand_interval_poly(rng)
-    assert interval_shift_spec.aut_apply(interval_shift_spec.aut_apply(el, 2), -2) == el
+    assert interval_shift_spec.aut.apply(interval_shift_spec.aut.apply(el, 2), -2) == el
 
 
 def test_scale_aut_norm_identity(rng, scale2_spec):
@@ -262,7 +262,7 @@ def test_scale_aut_norm_identity(rng, scale2_spec):
         f = rand_entire(rng)
         for k in (-2, -1, 1, 2):
             for rho in (0.5, 1, 2):
-                lhs = weighted_seminorm(scale2_spec.aut_apply(f, k), rho)
+                lhs = weighted_seminorm(scale2_spec.aut.apply(f, k), rho)
                 rhs = weighted_seminorm(f, 2.0**k * rho)
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -281,9 +281,9 @@ def test_shift_aut_norm_identity(rng):
 def test_diagonal_aut_weights_monomials(free_diag_spec):
     # generator 0 is scaled by 2, generator 1 by 1/2
     mono = FreeSeries({(0, 0, 1): 1})
-    moved = free_diag_spec.aut_apply(mono, 1)
+    moved = free_diag_spec.aut.apply(mono, 1)
     assert moved.coeffs[(0, 0, 1)] == GaussianRational.of(2)
-    back = free_diag_spec.aut_apply(mono, -1)
+    back = free_diag_spec.aut.apply(mono, -1)
     assert back.coeffs[(0, 0, 1)] == GaussianRational.of(Fraction(1, 2))
 
 
@@ -292,7 +292,7 @@ def test_diagonal_aut_isometric_for_unit_modulus():
     spec = BaseSpec("free", DiagonalAut((unit, unit)), ngens=2)
     a = FreeSeries({(0, 1, 0): Fraction(5, 3)})
     for k in (-2, 1, 3):
-        assert weighted_seminorm(spec.aut_apply(a, k), 2.0) == weighted_seminorm(a, 2.0)
+        assert weighted_seminorm(spec.aut.apply(a, k), 2.0) == weighted_seminorm(a, 2.0)
 
 
 def test_scale_aut_rejects_zero():
@@ -386,9 +386,9 @@ def test_shift_window_matches_slot_intersection():
                 shifts = [p * step for p in partial_sums(w)[: max(len(w), 1)]]
                 lo, hi = -n + max(shifts), n + min(shifts)
                 expected = EMPTY_INTERVAL if lo > hi else Interval(lo, hi)
-                assert spec._shift_window(w, n) == expected, (step, n, w)
+                assert interval(w, n, step=spec.aut.step) == expected, (step, n, w)
         with pytest.raises(ValueError):
-            spec._shift_window((1, 2), 0)
+            interval((1, 2), 0, step=spec.aut.step)
 
 
 def test_twisted_seminorm_entire_shift_zero_certificate(shift_entire_spec):
@@ -465,7 +465,7 @@ def test_exactness_ordering_on_sampled_decompositions(rng, scale2_spec):
         sums = partial_sums(w)
         for slot in range(len(w)):
             factors = [EntirePoly.one()] * len(w)
-            factors[slot] = scale2_spec.aut_apply(f, -sums[slot])
+            factors[slot] = scale2_spec.aut.apply(f, -sums[slot])
             value, _ = generic_twisted_upper_bound(
                 scale2_spec, f, w, 1, [tuple(factors)]
             )

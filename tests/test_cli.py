@@ -155,6 +155,10 @@ def test_phi_outputs(capsys, scale2_cfg):
     assert out.splitlines() == ["phi(0,-1) = 1", "phi(1,1) = 1"]
 
 
+def test_phi_of_a_relator_prints_zero(capsys):
+    assert run(capsys, ["phi", "x1*x2 - 1"]) == (0, "0\n", "")
+
+
 def test_phi_needs_both_indices(capsys):
     # a lone --m or --n used to print the whole table
     for flag in ("--m", "--n"):
@@ -224,6 +228,13 @@ def test_vanishing_underflow_is_not_a_certificate(capsys):
     assert (code, out.strip()) == (0, "RapidDecayObserved")
 
 
+def test_vanishing_r_must_be_a_base_element(capsys):
+    for r, message in (("x1", "expected a base-algebra element without x1/x2"),
+                       ("t", "expected a base-algebra element")):
+        expected = (3, "", f"unsupported configuration: {message}\n")
+        assert run(capsys, ["vanishing", "--r", r]) == expected
+
+
 def test_vanishing_csv_format(capsys, interval_cfg):
     code, out, _ = run(
         capsys,
@@ -278,6 +289,18 @@ def test_config_error_exit_code(capsys, tmp_path):
         assert "config error" in err
 
 
+def test_config_error_names_the_value(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    for text, message in (("base = free(x)\n", "bad base spec 'free(x)'"),
+                          ("derivation = foo\n", "unknown derivation 'foo'"),
+                          ("automorphism = twist\n", "unknown automorphism 'twist'"),
+                          ("base = free(2)\nderivation = ddz\n",
+                           "the derivation needs a polynomial base")):
+        cfg.write_text(text)
+        argv = ["--config", str(cfg), "qnorm", "z*x1"]
+        assert run(capsys, argv) == (2, "", f"config error: {message}\n"), text
+
+
 def test_config_identity_with_derivation(capsys, tmp_path):
     cfg = tmp_path / "weyl.cfg"
     cfg.write_text("base = entire\nautomorphism = identity\nderivation = ddz\n")
@@ -326,6 +349,20 @@ def test_float_overflow_exit_code(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+OVERFLOW = "error: a value overflows the float range (largest magnitude 1.798e+308)\n"
+
+
+def test_float_overflow_prints_no_inf(capsys):
+    # these printed inf with exit 0, or an errno tuple; table printed its inf row
+    big = ["--rho", "1e300", "--lambda", "1e300"]
+    for argv in (["norm", "z*x1", *big], ["qnorm", "z*x1", *big], ["norm", "z^7*x1", *big],
+                 ["table", "z*x1", "--rho-grid", "1e300", "--lambda", "1e300"],
+                 ["table", "z*x1", "--lambda-grid", "1,1e400"],
+                 ["localizability", "--lambda", "1e300"],
+                 ["vanishing", "--r", "z", "--format", "csv", *big]):
+        assert run(capsys, argv) == (2, "", OVERFLOW), argv
 
 
 def test_vanishing_without_certificate_exit_code(capsys, tmp_path):
@@ -384,10 +421,10 @@ def test_each_command_accepts_the_options_it_reads(capsys):
         "table": [["table", "z*x1", "--lambda", "1", "--rho", "1"],
                   ["table", "z*x1", "--lambda-grid", "1,2", "--rho-grid", "1"]],
     }
-    assert set(argvs) == set(cli._OPTIONS)
+    assert set(argvs) == set(cli._COMMANDS)
     for command, runs in argvs.items():
         flags = {token for argv in runs for token in argv if token.startswith("--")}
-        assert flags == set(cli._OPTIONS[command])
+        assert flags == set(cli._COMMANDS[command][1])
         for argv in runs:
             code, out, err = run(capsys, argv)
             assert (code, err) == (0, "") and out
@@ -414,6 +451,13 @@ def test_bad_rho_exit_code(capsys, scale2_cfg):
                  ["table", "x1", "--rho-grid", "-1"]):
         code, out, err = run(capsys, argv)
         assert (code, out, err.strip()) == (2, "", "error: rho must be positive")
+
+
+def test_nonpositive_rho_exit_code_on_every_quotient_path(capsys):
+    # the paper display printed -2.0 with exit 0
+    for argv in (["qnorm", "z*x1", "--rho", "-2", "--paper-display"],
+                 ["qnorm", "z*x1", "--rho", "-2"], ["reduce", "z*x1", "--rho", "0"]):
+        assert run(capsys, argv) == (2, "", "error: rho must be positive\n"), argv
 
 
 def test_bad_fraction_option_exit_code(capsys):

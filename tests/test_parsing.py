@@ -1,14 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcalc import (
+    BaseSpec,
     ConfigError,
     EntirePoly,
     GaussianRational,
     LaurentOrePoly,
     ParseError,
     PolyDerivation,
+    ScaleAut,
     TwistedSeries,
     format_element,
     parse_config_text,
@@ -50,7 +53,7 @@ def test_parse_complex_scalars(scale2_spec):
 def test_parse_ore_with_negative_power(scale2_spec):
     p = parse_expr("z*t^2 + t^-1", scale2_spec)
     assert isinstance(p, LaurentOrePoly)
-    assert p.coeffs == {2: EntirePoly({1: 1}), -1: EntirePoly.one()}
+    assert p.terms == {2: EntirePoly({1: 1}), -1: EntirePoly.one()}
 
 
 def test_parse_free_generators(free_diag_spec):
@@ -93,6 +96,47 @@ def test_parse_errors(scale2_spec, interval_shift_spec):
         parse_expr("z x1 +", scale2_spec, CAPS)  # dangling operator
     with pytest.raises(ParseError):
         parse_expr("3/0*x1", scale2_spec, CAPS)  # zero denominator
+
+
+def test_trailing_input_is_an_error(scale2_spec):
+    with pytest.raises(ParseError, match="trailing input starting at '\\)'") as info:
+        parse_expr("z*x1)", scale2_spec, CAPS)
+    assert info.value.column == 5
+
+
+def test_sign_applies_to_the_factor_after_it(scale2_spec):
+    # a leading sign and a sign after '*' are one rule: both stop at the second '^'
+    for source, column in (("-2^2^3", 5), ("1*-2^2^3", 7), ("-t^3^3", 5), ("1*-t^3^3", 7)):
+        with pytest.raises(ParseError, match="trailing input starting at '\\^'") as info:
+            parse_expr(source, scale2_spec, CAPS)
+        assert info.value.column == column
+    minus_four = parse_expr("-4", scale2_spec, CAPS)
+    for source in ("-2^2", "1*-2^2", "-(2^2)", "(-1)*2^2", "--(-4)"):
+        assert parse_expr(source, scale2_spec, CAPS) == minus_four
+    assert parse_expr("(-2)^2", scale2_spec, CAPS) == -minus_four
+    assert parse_expr("-t^2", scale2_spec) == parse_expr("(-1)*t^2", scale2_spec)
+    assert parse_scalar("-2^2") == GaussianRational(-4)
+
+
+_ATOMS = st.sampled_from(["2", "3/2", "i", "z", "z^3", "x1", "x2", "x1^2"])
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.builds("{}{}{}".format, inner,
+                  st.sampled_from([" + ", " - ", "*", " ", "*-", " - -", "*+"]), inner),
+        st.builds("-{}".format, inner),
+        st.builds("({})".format, inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXPRESSIONS)
+def test_leading_minus_is_times_minus_one(source):
+    spec = BaseSpec("entire", ScaleAut(2))
+    assert parse_expr("-" + source, spec, CAPS) == parse_expr("(-1)*" + source, spec, CAPS)
 
 
 def test_power_equals_repeated_product(scale2_spec, identity_entire_spec):

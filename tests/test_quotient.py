@@ -247,6 +247,27 @@ def test_quotient_norm_display_flag(scale2_spec):
     assert display == pytest.approx(0.84375 * 2, abs=1e-12)
 
 
+def test_quotient_norm_display_padded_nonpositive_winding(scale2_spec, scale_half_spec):
+    # |q|^m > rho >= |q|^(m/2) pads the class; for n <= 0 the display is c lam^m rho^n,
+    # and over q = 1/2 the class of x1 is the mirror of the class of x2 over q = 2
+    z = EntirePoly({1: 1})
+    for spec, word in ((scale2_spec, (2,)), (scale_half_spec, (1,))):
+        f = series(spec, {word: z})
+        assert quotient_norm(f, 1, 1.5, paper_display=True) == 1.5**-1
+        assert quotient_norm(f, 2, 1.5, paper_display=True) == 2 * 1.5**-1
+        g = series(spec, {(): z})
+        assert quotient_norm(g, 1, 1.5, paper_display=True) == 1.0
+
+
+def test_quotient_norm_rejects_nonpositive_rho(scale2_spec, scale_half_spec):
+    # the display used to evaluate at any rho
+    for spec in (scale2_spec, scale_half_spec):
+        f = series(spec, {(1,): EntirePoly({1: 1})})
+        for paper_display in (False, True):
+            with pytest.raises(ValueError, match="rho must be positive"):
+                quotient_norm(f, 1, -2.0, paper_display=paper_display)
+
+
 def test_quotient_norm_vanishes_on_ideal(rng, scale2_spec):
     for _ in range(20):
         g = rand_ideal_element(rng, scale2_spec)

@@ -113,7 +113,7 @@ def test_commd_identity(rng, scale2_spec):
             xs = tuple(rand_entire(rng, 3, 2) for _ in w1)
             ys = tuple(rand_entire(rng, 3, 2) for _ in w2)
             lhs = i_w_apply(scale2_spec, w1 + w2, xs + ys)
-            rhs = i_w_apply(scale2_spec, w1, xs) * scale2_spec.aut_apply(
+            rhs = i_w_apply(scale2_spec, w1, xs) * scale2_spec.aut.apply(
                 i_w_apply(scale2_spec, w2, ys), winding(w1)
             )
             assert lhs == rhs
@@ -128,7 +128,7 @@ def test_i_w_balanced_at_sampled_slots(rng, scale2_spec):
         slot = rng.randrange(len(w) - 1)
         wprime = 3 - 2 * w[slot]
         left = list(factors)
-        left[slot] = factors[slot] * scale2_spec.aut_apply(r, wprime)
+        left[slot] = factors[slot] * scale2_spec.aut.apply(r, wprime)
         right = list(factors)
         right[slot + 1] = r * factors[slot + 1]
         assert i_w_apply(scale2_spec, w, tuple(left)) == i_w_apply(
