@@ -2,15 +2,12 @@
 
 from .scalars import GaussianRational
 from .words import (
-    EMPTY_INTERVAL,
     Interval,
     canonical_word,
     counts,
     extremal_twists,
     interval,
-    partial_sum,
-    word_from_str,
-    word_to_str,
+    partial_sums,
 )
 from .bases import (
     BaseSpec,

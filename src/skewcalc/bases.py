@@ -40,14 +40,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .scalars import GaussianRational
-from .words import (
-    EMPTY_INTERVAL,
-    Interval,
-    Word,
-    extremal_twists,
-    interval,
-    partial_sums,
-)
+from .words import Word, extremal_twists, interval, partial_sums
 
 
 class Exactness(enum.Enum):
@@ -414,20 +407,19 @@ def _sign_changes(chain: list, x: Fraction) -> int:
 
 
 def interval_seminorm(f: IntervalPoly, window) -> float:
-    """sup of |f| over a closed interval, or 0 over the empty window.
+    """sup of |f| over the closed window (lo, hi), or 0 over None (empty).
 
     |f| is evaluated at the endpoints and at f's critical points: each
     distinct real root of f' in the window is bisected down to a cell at
     most _ROOT_WIDTH wide, whose midpoint is the candidate.  One stack holds
     the cells (a, V(a), b, V(b)), so each Sturm count is computed once and
-    a split point's count serves both halves.
+    a split point's count serves both halves.  Both ends are made Fractions
+    first, so the bisection stays exact when a caller passes ints.
     """
-    if window is EMPTY_INTERVAL:
+    if window is None:
         return 0.0
-    if not isinstance(window, Interval):
-        raise TypeError(f"expected Interval or Empty, got {window!r}")
     dense = _dense(f)
-    lo, hi = window.lo, window.hi
+    lo, hi = Fraction(window[0]), Fraction(window[1])
     candidates = [lo, hi]
     if len(dense) > 2:
         chain = _sturm_chain(_poly_deriv(dense))
@@ -520,16 +512,21 @@ class BaseSpec:
 
     # -- seminorms ---------------------------------------------------------
 
+    def check_index(self, lam):
+        """Raise unless lam is a positive radius (half-width on the interval base)."""
+        if lam <= 0:
+            raise ValueError("half-width must be positive" if self.kind == "interval"
+                             else "radius must be positive")
+
     def seminorm(self, el, lam) -> float:
         if self.kind != "interval":
             return weighted_seminorm(el, lam)
-        n = Fraction(lam)
-        if n <= 0:
-            raise ValueError("half-width must be positive")
-        return interval_seminorm(el, Interval(-n, n))
+        self.check_index(lam)
+        return interval_seminorm(el, (-lam, lam))
 
     def twisted_seminorm(self, el, w: Word, lam) -> tuple[float, Exactness]:
         """Per-word seminorm; exact closed forms where the base provides them."""
+        self.check_index(lam)
         if len(w) <= 1:
             return self.seminorm(el, lam), Exactness.EXACT
         if el.is_zero():

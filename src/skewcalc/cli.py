@@ -103,10 +103,11 @@ def _build_config(values: dict) -> SessionConfig:
         else:
             raise ConfigError(f"unknown automorphism {aut_name!r}")
         spec = BaseSpec(base, aut, ngens)
-        caps = {
-            "max_word_len": int(values.get("L", 16)),
-            "max_degree": int(values.get("D", 32)),
-        }
+        caps = {}
+        for key, name, default in (("L", "max_word_len", 16), ("D", "max_degree", 32)):
+            caps[name] = int(values.get(key, default))
+            if caps[name] < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {caps[name]}")
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
     return SessionConfig(spec, delta, caps)
@@ -183,7 +184,7 @@ _COMMANDS = {
                   "--rho-grid": None}),
 }
 
-def run_command(args, config: SessionConfig, out=None) -> int:
+def run_command(args, config: SessionConfig) -> int:
     cmd = args.command
     if cmd not in _COMMANDS:
         raise UnsupportedCommand(f"unknown command {cmd!r}")
@@ -296,7 +297,7 @@ def run_command(args, config: SessionConfig, out=None) -> int:
                 lines.append(f"{_fmt_value(lam)},{_fmt_value(rho)},{_fmt_value(value)},"
                              f"{exactness.value}")
     for line in lines:
-        print(line, file=out)
+        print(line)
     if truncated:
         print("warning: terms beyond the caps were dropped", file=sys.stderr)
     return 0

@@ -200,6 +200,7 @@ def laurent_series_norm(f: LaurentOrePoly, lam, rho: float) -> float:
     """sum ||a_i||_lam rho^i over the support."""
     if rho <= 0:
         raise ValueError("rho must be positive")
+    f.spec.check_index(lam)
     rho = float(rho)
     return sum(f.spec.seminorm(a, lam) * rho**i for i, a in f.terms.items())
 

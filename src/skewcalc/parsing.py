@@ -175,7 +175,7 @@ class _Parser:
                 self.error("expected ')'")
             return value
         self.index -= 1
-        self.error(f"unexpected token {text!r}")
+        self.error("unexpected end of input" if kind == "end" else f"unexpected token {text!r}")
 
 
 class _Ring:

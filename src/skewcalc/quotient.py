@@ -59,11 +59,6 @@ def phi(f, m: int, n: int) -> GaussianRational:
     return phi_table(f).get((m, n), GaussianRational())
 
 
-def phi_support(f):
-    """Exactly the (m, n) pairs with a nonzero functional value, sorted."""
-    return sorted(phi_table(f))
-
-
 def bidegree_series(f: TwistedSeries) -> TwistedSeries:
     """Sum f's coefficients over words with equal letter counts.
 
@@ -173,6 +168,7 @@ def quotient_norm(f, lam, rho: float, paper_display: bool = False) -> float:
     _require_scale(f.spec)
     if rho <= 0:
         raise ValueError("rho must be positive")
+    f.spec.check_index(lam)
     if paper_display:
         return _display_norm(f, lam, rho)
     rep = canonical_representative(f, rho)
@@ -181,10 +177,15 @@ def quotient_norm(f, lam, rho: float, paper_display: bool = False) -> float:
 
 
 def _display_norm(f, lam, rho: float) -> float:
-    # literal transcription of the published quotient-norm display,
-    # kept only as a comparison flag (its middle exponent disagrees with
-    # the representative norm by one power of |q|^m); for |q| < 1 it is
-    # read on the swapped class, over 1/q with t^n -> t^-n
+    # literal transcription of the published quotient-norm display, kept
+    # only as a comparison flag; for |q| < 1 it is read on the swapped
+    # class, over 1/q with t^n -> t^-n.  A class (m, n) adds |c| lam^m times
+    #   plain, n >= 0: |q|^(-m max(n - 1, 0)) rho^n, as the representative;
+    #   padded, n > 0: |q|^(-m n) rho^(n + 2), where the representative has
+    #                  |q|^(-m (n + 1)), one power of |q|^m less;
+    #   padded, n = 0: 1, as the representative;
+    #   n < 0:         rho^n, where the representative has rho^|n|;
+    #   dropped:       nothing, as the representative
     sign = 1 if f.spec.aut.abs_gt_one() else -1
     q = f.spec.aut.q ** sign
     absq = abs(q)
@@ -240,25 +241,15 @@ _DECAY_TOL = 1e-12
 class VanishingReport:
     verdict: Verdict
     r_invertible: bool
-    family: str
     rows: tuple  # (lam, rho, k, value)
 
 
-def _family_word(k: int, family: str):
-    if family == "ones_first":
-        return (1,) * k + (2,) * k
-    if family == "twos_first":
-        return (2,) * k + (1,) * k
-    raise ValueError(f"unknown word family {family!r}")
-
-
-def vanishing_test(
-    spec: BaseSpec, r, lams, rhos, depth: int, family: str = "ones_first"
-) -> VanishingReport:
+def vanishing_test(spec: BaseSpec, r, lams, rhos, depth: int) -> VanishingReport:
     """Evaluate the collapse criterion sequence over a (lam, rho) grid.
 
     For each grid point the values ||r||^{(w_k)} * rho^{2k} are computed
-    for k = 1..depth; every rho must be positive.  A certified collapse needs an invertible r and, at
+    for k = 1..depth over the one word family w_k = 1^k 2^k; every rho
+    must be positive.  A certified collapse needs an invertible r and, at
     every grid point, a zero tail: the seminorm ||r||^{(w_depth)} itself,
     read before the rho^{2k} factor, must be 0.0 and tagged Exact, since a
     product that underflows to 0.0 certifies nothing.  Otherwise rapid
@@ -277,7 +268,7 @@ def vanishing_test(
     saw_upper_bound = False
     for lam in lams:
         # the seminorms ||r||^{(w_k)} do not depend on rho
-        column = [spec.twisted_seminorm(r, _family_word(k, family), lam)
+        column = [spec.twisted_seminorm(r, canonical_word(k, k), lam)
                   for k in range(1, depth + 1)]
         for rho in rhos:
             rho = float(rho)
@@ -302,4 +293,4 @@ def vanishing_test(
                 "nonzero upper-bound seminorm values cannot certify a verdict"
             )
         verdict = Verdict.NO_DECAY
-    return VanishingReport(verdict, invertible, family, tuple(rows))
+    return VanishingReport(verdict, invertible, tuple(rows))

@@ -47,10 +47,6 @@ class TwistedSeries(_TwistedMap):
     def _covers(self, other) -> bool:
         return other.max_word_len <= self.max_word_len and other.max_degree <= self.max_degree
 
-    @staticmethod
-    def generator(spec: BaseSpec, letter: int, **caps) -> "TwistedSeries":
-        return TwistedSeries(spec, {(letter,): spec.one()}, **caps)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -75,6 +71,7 @@ def twisted_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    f.spec.check_index(lam)
     rho = float(rho)
     total = 0.0
     exactness = Exactness.EXACT

@@ -25,7 +25,7 @@ from skewcalc import (
 )
 from skewcalc import bases
 from skewcalc.bases import InvalidDecompositionError, i_w_apply
-from skewcalc.words import EMPTY_INTERVAL, all_words, interval, partial_sums
+from skewcalc.words import all_words, interval, partial_sums
 
 from conftest import (
     q_of,
@@ -203,7 +203,7 @@ def test_interval_seminorm_sturm_count_once_per_point(monkeypatch, coeffs, lo, h
 
 def test_interval_seminorm_empty_window_is_zero():
     f = IntervalPoly({0: 5})
-    assert interval_seminorm(f, EMPTY_INTERVAL) == 0.0
+    assert interval_seminorm(f, None) == 0.0
 
 
 def test_unit_has_norm_one(scale2_spec, interval_shift_spec, free_diag_spec):
@@ -385,7 +385,7 @@ def test_shift_window_matches_slot_intersection():
             for w in all_words(6):
                 shifts = [p * step for p in partial_sums(w)[: max(len(w), 1)]]
                 lo, hi = -n + max(shifts), n + min(shifts)
-                expected = EMPTY_INTERVAL if lo > hi else Interval(lo, hi)
+                expected = None if lo > hi else Interval(lo, hi)
                 assert interval(w, n, step=spec.aut.step) == expected, (step, n, w)
         with pytest.raises(ValueError):
             interval((1, 2), 0, step=spec.aut.step)

@@ -7,6 +7,7 @@ from skewcalc.cli import main
 SCALE2_CFG = "base = entire\nautomorphism = scale\nq = 2\n"
 INTERVAL_CFG = "base = interval\nautomorphism = shift\n"
 Q1I_CFG = "base = entire\nautomorphism = scale\nq = 1+1i\n"
+SHIFT_CFG = "automorphism = shift\n"
 D5000_CFG = "base = entire\nautomorphism = scale\nq = 2\nD = 5000\n"
 
 
@@ -458,6 +459,44 @@ def test_nonpositive_rho_exit_code_on_every_quotient_path(capsys):
     for argv in (["qnorm", "z*x1", "--rho", "-2", "--paper-display"],
                  ["qnorm", "z*x1", "--rho", "-2"], ["reduce", "z*x1", "--rho", "0"]):
         assert run(capsys, argv) == (2, "", "error: rho must be positive\n"), argv
+
+
+_NONPOSITIVE_LAMBDA = [
+    # the shift zero certificate answered before lambda was read
+    ("shift", ["vanishing", "--r", "1", "--lambda", "-3"], "radius"),
+    ("shift", ["norm", "z*x1^5", "--lambda", "0"], "radius"),
+    # the paper display and the one-letter word of the representative
+    ("scale", ["qnorm", "z*x1", "--lambda", "-1", "--rho", "4", "--paper-display"], "radius"),
+    ("scale", ["qnorm", "z*x1", "--lambda", "-1"], "radius"),
+    # a zero element has no term whose seminorm would read lambda
+    ("scale", ["norm", "0", "--lambda", "-1"], "radius"),
+    ("scale", ["table", "0", "--lambda", "-1"], "radius"),
+    ("scale", ["norm", "0*t", "--lambda", "-1"], "radius"),
+    ("interval", ["norm", "0", "--lambda", "-1"], "half-width"),
+    ("interval", ["norm", "z*x1*x2*x2", "--lambda", "-1"], "half-width"),
+]
+
+
+@pytest.mark.parametrize("base, argv, message", _NONPOSITIVE_LAMBDA,
+                         ids=[f"{base}: {' '.join(argv)}" for base, argv, _ in _NONPOSITIVE_LAMBDA])
+def test_nonpositive_lambda_exit_code(capsys, tmp_path, base, argv, message):
+    path = tmp_path / "base.cfg"
+    path.write_text({"scale": SCALE2_CFG, "shift": SHIFT_CFG, "interval": INTERVAL_CFG}[base])
+    argv = ["--config", str(path), *argv]
+    assert run(capsys, argv) == (2, "", f"error: {message} must be positive\n")
+
+
+def test_negative_caps_are_config_errors(capsys, tmp_path):
+    cfg = tmp_path / "caps.cfg"
+    for text, message in (("L = -1\n", "L must be nonnegative, got -1"),
+                          ("D = -5\n", "D must be nonnegative, got -5")):
+        cfg.write_text(text)
+        assert run(capsys, ["--config", str(cfg), "norm", "2"]) == (
+            2, "", f"config error: {message}\n")
+    # zero caps still hold the constants
+    for text in ("L = 0\n", "D = 0\n"):
+        cfg.write_text(text)
+        assert run(capsys, ["--config", str(cfg), "norm", "2"]) == (0, "2.0 (exact)\n", "")
 
 
 def test_bad_fraction_option_exit_code(capsys):

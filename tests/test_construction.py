@@ -184,7 +184,8 @@ def assert_clean_series(r):
 
 
 def test_series_arithmetic_builds_clean_series(scale2_spec):
-    one, x1 = TwistedSeries.one(scale2_spec, **CAPS), TwistedSeries.generator(scale2_spec, 1, **CAPS)
+    one = TwistedSeries.one(scale2_spec, **CAPS)
+    x1 = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), **CAPS)
     s = TwistedSeries(scale2_spec, {(): EntirePoly({0: 1, 1: 2}), (1, 2): EntirePoly({3: -1})}, **CAPS)
     for r in (s - s, s.scale(0), -s, s + s, s.scale(Fraction(1, 2))):
         assert_clean_series(r)
@@ -210,7 +211,7 @@ def test_series_arithmetic_builds_clean_series(scale2_spec):
 
 
 def test_series_results_keep_truncated_flag(scale2_spec):
-    x1 = TwistedSeries.generator(scale2_spec, 1, max_word_len=2, max_degree=8)
+    x1 = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), max_word_len=2, max_degree=8)
     cut = mul(mul(x1, x1), x1)
     assert cut.truncated and cut.is_zero()
     for r in (-cut, cut.scale(3), cut + x1, x1 + cut, cut - cut):
@@ -219,7 +220,7 @@ def test_series_results_keep_truncated_flag(scale2_spec):
 
 
 def test_series_sum_checks_the_caps_of_a_wider_operand(scale2_spec):
-    narrow = TwistedSeries.generator(scale2_spec, 1, max_word_len=2, max_degree=8)
+    narrow = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), max_word_len=2, max_degree=8)
     wide = TwistedSeries(scale2_spec, {(1, 1, 1): scale2_spec.one()}, max_word_len=4, max_degree=8)
     with pytest.raises(ValueError):
         narrow + wide

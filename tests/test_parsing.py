@@ -98,6 +98,14 @@ def test_parse_errors(scale2_spec, interval_shift_spec):
         parse_expr("3/0*x1", scale2_spec, CAPS)  # zero denominator
 
 
+def test_parse_error_at_end_of_input(scale2_spec):
+    # the end of input used to be reported as "unexpected token None"
+    for source in ("", "x1 +", "("):
+        with pytest.raises(ParseError, match="unexpected end of input") as info:
+            parse_expr(source, scale2_spec, CAPS)
+        assert info.value.column == len(source) + 1
+
+
 def test_trailing_input_is_an_error(scale2_spec):
     with pytest.raises(ParseError, match="trailing input starting at '\\)'") as info:
         parse_expr("z*x1)", scale2_spec, CAPS)

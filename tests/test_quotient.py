@@ -28,7 +28,7 @@ from skewcalc import (
     vanishing_test,
 )
 from skewcalc.parsing import format_ore
-from skewcalc.quotient import bidegree_series, phi_support, phi_table
+from skewcalc.quotient import bidegree_series, phi_table
 from skewcalc.words import winding
 
 from conftest import q_of, rand_entire, rand_series
@@ -65,7 +65,7 @@ def test_phi_sums_over_winding_classes(scale2_spec):
     assert phi(f, 1, 1) == GaussianRational.of(2)
     assert phi(f, 0, -1) == GaussianRational.of(1)
     assert phi(f, 3, 1) == GaussianRational()
-    assert phi_support(f) == [(0, -1), (1, 1)]
+    assert sorted(phi_table(f)) == [(0, -1), (1, 1)]
 
 
 def test_phi_requires_entire_base(interval_shift_spec):
@@ -85,7 +85,7 @@ def test_phi_invariant_under_ideal_shift(rng, scale2_spec):
     for _ in range(30):
         f = rand_series(rng, scale2_spec, 3, 4, 3, **CAPS)
         g = rand_ideal_element(rng, scale2_spec)
-        for m, n in phi_support(f):
+        for m, n in sorted(phi_table(f)):
             assert phi(f, m, n) == phi(f + g, m, n)
 
 
@@ -109,7 +109,7 @@ def test_phi_table_matches_sum_over_words(rng, scale2_spec, shift_entire_spec):
             for h in (f, f + mirror, f + mirror + g, f + g):
                 table = _phi_by_words(h)
                 assert phi_table(h) == table
-                assert phi_support(h) == sorted(table)
+                assert sorted(phi_table(h)) == sorted(table)
                 assert ideal_member(h) == (not table)
             assert not phi_table(f + mirror)
 
@@ -245,6 +245,10 @@ def test_quotient_norm_display_flag(scale2_spec):
     # padded case: the transcribed display is off by a factor |q|^m
     display = quotient_norm(f, 1, 1.5, paper_display=True)
     assert display == pytest.approx(0.84375 * 2, abs=1e-12)
+    # plain case with n < 0: the representative has rho^|n|, the display rho^n
+    g = series(scale2_spec, {(2,): z})
+    assert quotient_norm(g, 1, 4.0) == 4.0
+    assert quotient_norm(g, 1, 4.0, paper_display=True) == 0.25
 
 
 def test_quotient_norm_display_padded_nonpositive_winding(scale2_spec, scale_half_spec):
@@ -335,13 +339,6 @@ def test_vanishing_interval_shift_collapse(interval_shift_spec):
     assert report.r_invertible
 
 
-def test_vanishing_twos_first_family(interval_shift_spec):
-    report = vanishing_test(
-        interval_shift_spec, IntervalPoly.one(), [1], [1], 12, family="twos_first"
-    )
-    assert report.verdict is Verdict.COLLAPSE_CERTIFIED
-
-
 def test_vanishing_entire_shift_zero_certificate(shift_entire_spec):
     report = vanishing_test(shift_entire_spec, EntirePoly.one(), [1], [1, 2], 12)
     assert report.verdict is Verdict.COLLAPSE_CERTIFIED
@@ -428,7 +425,7 @@ def test_quotient_reads_only_the_ore_class(q, terms, in_ideal, lam, rho):
 
 def test_truncated_input_has_no_class(scale2_spec, scale_half_spec):
     for spec in (scale2_spec, scale_half_spec):
-        x1 = TwistedSeries.generator(spec, 1, max_word_len=1, max_degree=8)
+        x1 = TwistedSeries.term(spec, spec.one(), (1,), max_word_len=1, max_degree=8)
         cut = mul(x1, x1) + x1
         assert cut.truncated and reduce_to_ore(cut).truncated
         for read in (phi_table, ideal_member, lambda f: canonical_representative(f, 2.0),

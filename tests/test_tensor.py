@@ -41,7 +41,7 @@ def test_caps_enforced_on_construction(scale2_spec):
 
 
 def test_mul_sets_truncated_flag(scale2_spec):
-    x1 = TwistedSeries.generator(scale2_spec, 1, max_word_len=1)
+    x1 = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), max_word_len=1)
     product = mul(x1, x1)
     assert product.is_zero()
     assert product.truncated
@@ -185,7 +185,7 @@ def test_submultiplicativity_sharp_at_constant_right_factor(scale2_spec):
     # the per-word seminorm carries no twist for the final slot, so a
     # right factor with a constant-word term can defeat the product
     # bound: x1 * z = (2z) x1 has norm 2*lam*rho > lam*rho
-    x1 = TwistedSeries.generator(scale2_spec, 1, **CAPS)
+    x1 = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), **CAPS)
     z = TwistedSeries.term(scale2_spec, EntirePoly({1: 1}), (), **CAPS)
     pv, _ = twisted_norm(mul(x1, z), 1, 1.0)
     fv, _ = twisted_norm(x1, 1, 1.0)
