@@ -38,14 +38,12 @@ from .tensor import (
     TwistedSeries,
     embed_ore,
     mul,
-    single_variable_norm,
     twisted_norm,
 )
 from .quotient import (
     CannotCertifyError,
     Verdict,
     canonical_representative,
-    collapse_bidegree,
     ideal_member,
     phi,
     quotient_norm,

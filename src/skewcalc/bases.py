@@ -483,6 +483,8 @@ class BaseSpec:
             raise UnsupportedAutomorphism(
                 f"{self.aut.kind} automorphism is not supported on the {self.kind} base"
             )
+        if self.kind == "free" and self.ngens < 1:
+            raise ValueError("a free base needs at least one generator")
         if self.aut.kind == "diagonal" and len(self.aut.qs) != self.ngens:
             raise ValueError("diagonal needs one factor per generator")
 

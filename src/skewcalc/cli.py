@@ -172,7 +172,7 @@ def _norm(parsed, lam, rho) -> tuple[float, Exactness]:
 _COMMANDS = {
     "mul": (2, {}),
     "norm": (1, {"--lambda": Fraction(1), "--rho": Fraction(1)}),
-    "qnorm": (1, {"--lambda": Fraction(1), "--rho": Fraction(1), "--paper-display": False}),
+    "qnorm": (1, {"--lambda": Fraction(1), "--rho": Fraction(1)}),
     "reduce": (1, {"--rho": Fraction(1)}),
     "phi": (1, {"--m": None, "--n": None}),
     "ideal-test": (1, {}),
@@ -237,8 +237,7 @@ def run_command(args, config: SessionConfig) -> int:
         tag = f" ({exactness.value})" if isinstance(parsed, TwistedSeries) else ""
         lines.append(f"{_fmt_value(value)}{tag}")
     elif cmd == "qnorm":
-        value = quotient_norm(parse(args.exprs[0]), args.lam, float(args.rho),
-                              paper_display=args.paper_display)
+        value = quotient_norm(parse(args.exprs[0]), args.lam, float(args.rho))
         lines.append(_fmt_value(value))
     elif cmd == "reduce":
         rep = canonical_representative(parse(args.exprs[0]), float(args.rho))
@@ -323,7 +322,6 @@ def _build_parser() -> tuple:
         parser.add_argument("--m", type=int),
         parser.add_argument("--n", type=int),
         parser.add_argument("--r"),
-        parser.add_argument("--paper-display", action="store_true", default=None),
         parser.add_argument("--format", choices=["text", "csv"]),
     ]
     return parser, {option.dest: option.option_strings[0] for option in options}
@@ -386,7 +384,7 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         config = load_config(args.config)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

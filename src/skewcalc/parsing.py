@@ -14,7 +14,6 @@ Config files are flat ``key = value`` lines with exact rational literals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bases import BaseSpec
@@ -361,12 +360,8 @@ def format_element(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConfigError(Exception):
-    message: str
-
-    def __str__(self):
-        return self.message
+    """A config file or value that does not describe a session."""
 
 
 def parse_config_text(text: str) -> dict:

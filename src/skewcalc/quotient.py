@@ -7,10 +7,10 @@ normal form this module reads; so each invariant takes a series or its
 Ore class alike, and refuses a truncated input.  The winding functional
 phi(m, n) is the z^m coefficient of the t^n coefficient of the class.
 On the scaling base the module also builds the canonical coset
-representative whose weighted norm realizes the quotient seminorm, and
-runs the collapse-to-zero diagnostics.  For |q| < 1 the quotient is the
-|q| > 1 one with x1 and x2 exchanged, so both read the class once, with
-regimes on 1/q and the winding n mirrored to -n.
+representative, whose weighted norm is the one quotient seminorm it
+evaluates, and runs the collapse-to-zero diagnostics.  For |q| < 1 the
+quotient is the |q| > 1 one with x1 and x2 exchanged, so both read the
+class once, with regimes on 1/q and the winding n mirrored to -n.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from .bases import BaseSpec, Exactness, UnsupportedAutomorphism
 from .scalars import GaussianRational
 from .tensor import TwistedSeries, twisted_norm
-from .words import canonical_word, counts, winding
+from .words import canonical_word, winding
 from .ore import LaurentOrePoly
 
 
@@ -57,28 +57,6 @@ def phi_table(f) -> dict:
 def phi(f, m: int, n: int) -> GaussianRational:
     """Sum of the z^m coefficients of f over all words of winding n."""
     return phi_table(f).get((m, n), GaussianRational())
-
-
-def bidegree_series(f: TwistedSeries) -> TwistedSeries:
-    """Sum f's coefficients over words with equal letter counts.
-
-    Each word with n1 ones and n2 twos goes to the block word 1^n1 2^n2;
-    the weighted norm of the result never exceeds f's.
-    """
-    _require_entire(f)
-    terms: dict = {}
-    for w, a in f.terms.items():
-        n1, n2, _ = counts(w)
-        block = canonical_word(n1, n2)
-        terms[block] = terms[block] + a if block in terms else a
-    return TwistedSeries(f.spec, terms, max_word_len=max(f.max_word_len, 1),
-                         max_degree=f.max_degree)
-
-
-def collapse_bidegree(f: TwistedSeries) -> dict:
-    """Nonzero coefficients keyed by (m, n1, n2), read off bidegree_series(f)."""
-    return {(m, w.count(1), w.count(2)): c
-            for w, a in bidegree_series(f).terms.items() for m, c in a.coeffs.items()}
 
 
 def ideal_member(f) -> bool:
@@ -157,52 +135,20 @@ def canonical_representative(f, rho: float) -> CanonicalRep:
     return CanonicalRep(series, frozenset(dropped))
 
 
-def quotient_norm(f, lam, rho: float, paper_display: bool = False) -> float:
+def quotient_norm(f, lam, rho: float) -> float:
     """The quotient seminorm of f's coset, via its canonical representative.
 
-    f is a series or its Ore class.  With ``paper_display=True`` the
-    literal published closed-form display is evaluated instead, for
-    comparison; the representative-based value is the one the
+    f is a series or its Ore class.  The value is the weighted norm of
+    ``canonical_representative(f, rho)``, the one value the quotient
     inequalities certify.
     """
     _require_scale(f.spec)
     if rho <= 0:
         raise ValueError("rho must be positive")
     f.spec.check_index(lam)
-    if paper_display:
-        return _display_norm(f, lam, rho)
     rep = canonical_representative(f, rho)
     value, _ = twisted_norm(rep.series, lam, rho)
     return value
-
-
-def _display_norm(f, lam, rho: float) -> float:
-    # literal transcription of the published quotient-norm display, kept
-    # only as a comparison flag; for |q| < 1 it is read on the swapped
-    # class, over 1/q with t^n -> t^-n.  A class (m, n) adds |c| lam^m times
-    #   plain, n >= 0: |q|^(-m max(n - 1, 0)) rho^n, as the representative;
-    #   padded, n > 0: |q|^(-m n) rho^(n + 2), where the representative has
-    #                  |q|^(-m (n + 1)), one power of |q|^m less;
-    #   padded, n = 0: 1, as the representative;
-    #   n < 0:         rho^n, where the representative has rho^|n|;
-    #   dropped:       nothing, as the representative
-    sign = 1 if f.spec.aut.abs_gt_one() else -1
-    q = f.spec.aut.q ** sign
-    absq = abs(q)
-    lam = float(lam)
-    rho = float(rho)
-    total = 0.0
-    for (m, n), c in phi_table(f).items():
-        n *= sign
-        regime = _regime(q, m, rho)
-        if regime == _PLAIN:
-            total += abs(c) * lam**m * absq ** (-m * max(n - 1, 0)) * rho**n
-        elif regime == _PADDED:
-            if n > 0:
-                total += abs(c) * lam**m * absq ** (-m * n) * rho ** (n + 2)
-            else:
-                total += abs(c) * lam**m * rho**n
-    return total
 
 
 def reduce_to_ore(f) -> LaurentOrePoly:

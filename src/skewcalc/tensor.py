@@ -83,14 +83,6 @@ def twisted_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:
     return total, Exactness.TRUNCATED if f.truncated else exactness
 
 
-def single_variable_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:
-    """The one-variable view: f must be supported on words of 1s only."""
-    for w in f.terms:
-        if any(letter != 1 for letter in w):
-            raise ValueError(f"word {w} is not a power of the first generator")
-    return twisted_norm(f, lam, rho)
-
-
 def embed_ore(p, which: str = "x1", **caps) -> TwistedSeries:
     """Embed a nonnegative-support skew polynomial, t^n -> x1^n or x2^n.
 

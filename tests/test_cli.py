@@ -1,8 +1,11 @@
+import contextlib
+
 import pytest
 
 from skewcalc import cli
 from skewcalc.bases import BaseSpec
 from skewcalc.cli import main
+from skewcalc.parsing import ConfigError
 
 SCALE2_CFG = "base = entire\nautomorphism = scale\nq = 2\n"
 INTERVAL_CFG = "base = interval\nautomorphism = shift\n"
@@ -80,6 +83,8 @@ def test_norm_series_and_ore(capsys, scale2_cfg):
         capsys, ["--config", scale2_cfg, "norm", "t + t^-1", "--rho", "2"]
     )
     assert (code, out.strip()) == (0, "2.5")
+    # the tokenizer stops at trailing whitespace
+    assert run(capsys, ["--config", scale2_cfg, "norm", "x1 "]) == (0, "1.0 (exact)\n", "")
 
 
 def test_table_sorted_with_header(capsys, scale2_cfg):
@@ -296,7 +301,13 @@ def test_config_error_names_the_value(capsys, tmp_path):
                           ("derivation = foo\n", "unknown derivation 'foo'"),
                           ("automorphism = twist\n", "unknown automorphism 'twist'"),
                           ("base = free(2)\nderivation = ddz\n",
-                           "the derivation needs a polynomial base")):
+                           "the derivation needs a polynomial base"),
+                          # free(0) was a base without generators; under free(-2)
+                          # g1 was an unknown generator
+                          ("base = free(0)\nautomorphism = identity\n",
+                           "a free base needs at least one generator"),
+                          ("base = free(-2)\nautomorphism = identity\n",
+                           "a free base needs at least one generator")):
         cfg.write_text(text)
         argv = ["--config", str(cfg), "qnorm", "z*x1"]
         assert run(capsys, argv) == (2, "", f"config error: {message}\n"), text
@@ -333,6 +344,30 @@ def test_read_path_seminorm_calls(capsys, monkeypatch, interval_cfg, method, arg
 def test_missing_config_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["--config", str(tmp_path / "absent.cfg"), "norm", "1"])
     assert code == 2
+
+
+def test_non_utf8_config_exit_code(capsys, tmp_path):
+    # this ended in a UnicodeDecodeError traceback with exit 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe = 2\n")
+    code, out, err = run(capsys, ["--config", str(cfg), "norm", "x1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_config_error_is_a_plain_exception():
+    # a frozen dataclass could not take the traceback a generator-based
+    # context manager sets, nor a note, so both raised FrozenInstanceError
+    @contextlib.contextmanager
+    def block():
+        yield
+
+    with pytest.raises(ConfigError, match="unknown base 'nope'"):
+        with block():
+            cli._build_config({"base": "nope"})
+    exc = ConfigError("x")
+    exc.add_note("n")
+    assert (str(exc), exc.__notes__) == ("x", ["n"])
 
 
 def test_unsupported_configuration_exit_code(capsys, interval_cfg):
@@ -397,8 +432,7 @@ def test_option_the_command_does_not_read_exit_code(capsys):
                           (["--depth", "3", "norm", "x1"], "norm does not read --depth"),
                           (["mul", "x1", "x2", "--rho", "1"], "mul does not read --rho"),
                           (["reduce", "z*x1", "--lambda", "2"], "reduce does not read --lambda"),
-                          (["to-ore", "x1", "--paper-display"],
-                           "to-ore does not read --paper-display")):
+                          (["to-ore", "x1", "--rho", "2"], "to-ore does not read --rho")):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.strip() == f"error: {message}"
@@ -409,7 +443,7 @@ def test_each_command_accepts_the_options_it_reads(capsys):
     argvs = {
         "mul": [["mul", "x1", "x2"]],
         "norm": [["norm", "z*x1", "--lambda", "2", "--rho", "2"]],
-        "qnorm": [["qnorm", "z*x1", "--lambda", "1", "--rho", "3/2", "--paper-display"]],
+        "qnorm": [["qnorm", "z*x1", "--lambda", "1", "--rho", "3/2"]],
         "reduce": [["reduce", "z*x1", "--rho", "3/2"]],
         "phi": [["phi", "z*x1", "--m", "1", "--n", "1"]],
         "ideal-test": [["ideal-test", "x1"]],
@@ -455,9 +489,7 @@ def test_bad_rho_exit_code(capsys, scale2_cfg):
 
 
 def test_nonpositive_rho_exit_code_on_every_quotient_path(capsys):
-    # the paper display printed -2.0 with exit 0
-    for argv in (["qnorm", "z*x1", "--rho", "-2", "--paper-display"],
-                 ["qnorm", "z*x1", "--rho", "-2"], ["reduce", "z*x1", "--rho", "0"]):
+    for argv in (["qnorm", "z*x1", "--rho", "-2"], ["reduce", "z*x1", "--rho", "0"]):
         assert run(capsys, argv) == (2, "", "error: rho must be positive\n"), argv
 
 
@@ -465,8 +497,7 @@ _NONPOSITIVE_LAMBDA = [
     # the shift zero certificate answered before lambda was read
     ("shift", ["vanishing", "--r", "1", "--lambda", "-3"], "radius"),
     ("shift", ["norm", "z*x1^5", "--lambda", "0"], "radius"),
-    # the paper display and the one-letter word of the representative
-    ("scale", ["qnorm", "z*x1", "--lambda", "-1", "--rho", "4", "--paper-display"], "radius"),
+    # the one-letter word of the representative
     ("scale", ["qnorm", "z*x1", "--lambda", "-1"], "radius"),
     # a zero element has no term whose seminorm would read lambda
     ("scale", ["norm", "0", "--lambda", "-1"], "radius"),
@@ -553,11 +584,14 @@ def test_options_and_operands_in_any_order(capsys, scale2_cfg, argv, expected):
 
 
 def test_unknown_option_is_still_rejected(capsys):
-    for argv in (["norm", "z*x1", "--rhoo", "2"], ["norm", "--rhoo", "2", "z*x1"]):
+    # qnorm has one closed form; --paper-display selected a second one
+    for argv, flag in ((["norm", "z*x1", "--rhoo", "2"], "--rhoo"),
+                       (["norm", "--rhoo", "2", "z*x1"], "--rhoo"),
+                       (["qnorm", "z*x1", "--paper-display"], "--paper-display")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --rhoo" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_operand_before_the_command_is_rejected(capsys):
@@ -587,8 +621,8 @@ def test_parser_is_built_once(capsys, monkeypatch, scale2_cfg):
     base = ["--config", scale2_cfg, "qnorm", "z*x1", "--rho", "3/2"]
     assert run(capsys, base) == (0, "0.84375\n", "")
     # consecutive calls share no option value: each falls back to the defaults
-    first = cli._parse_args(["qnorm", "x1", "--paper-display", "--rho", "2", "--depth", "3"])
+    first = cli._parse_args(["qnorm", "x1", "--rho", "2", "--depth", "3"])
     second = cli._parse_args(["qnorm", "x1"])
-    assert (first.paper_display, first.rho, first.depth) == (True, 2, 3)
-    assert (second.paper_display, second.rho, second.depth) == (False, 1, None)
+    assert (first.rho, first.depth) == (2, 3)
+    assert (second.rho, second.depth) == (1, None)
     assert second.exprs == ["x1"]

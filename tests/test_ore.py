@@ -73,6 +73,14 @@ def test_mismatched_specs_rejected(scale2_spec, scale_half_spec):
         ore_mul(f, g)
 
 
+def test_mismatched_derivations_rejected(weyl_spec):
+    f = LaurentOrePoly.one(weyl_spec, PolyDerivation())
+    g = LaurentOrePoly.one(weyl_spec)
+    for op in (lambda: f + g, lambda: f * g):
+        with pytest.raises(MismatchedBaseError, match="operands disagree on the derivation"):
+            op()
+
+
 # -- derivations -------------------------------------------------------------
 
 

@@ -174,6 +174,7 @@ def test_parse_scalar_literals():
     assert parse_scalar("3/2") == GaussianRational(Fraction(3, 2))
     assert parse_scalar("1+1i") == GaussianRational(Fraction(1), Fraction(1))
     assert parse_scalar("-2i") == GaussianRational(Fraction(0), Fraction(-2))
+    assert parse_scalar("i") == GaussianRational(0, 1)
     with pytest.raises(ParseError):
         parse_scalar("z")
 

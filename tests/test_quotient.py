@@ -16,7 +16,6 @@ from skewcalc import (
     UnsupportedAutomorphism,
     Verdict,
     canonical_representative,
-    collapse_bidegree,
     embed_ore,
     ideal_member,
     mul,
@@ -28,7 +27,7 @@ from skewcalc import (
     vanishing_test,
 )
 from skewcalc.parsing import format_ore
-from skewcalc.quotient import bidegree_series, phi_table
+from skewcalc.quotient import phi_table
 from skewcalc.words import winding
 
 from conftest import q_of, rand_entire, rand_series
@@ -123,47 +122,6 @@ def test_ideal_member_rejects_nonmembers(scale2_spec):
     assert ideal_member(r12) and ideal_member(r21)
 
 
-# -- bidegree aggregation ----------------------------------------------------
-
-
-def test_collapse_bidegree_aggregates(rng, scale2_spec, shift_entire_spec):
-    z = EntirePoly({1: 1})
-    f = series(scale2_spec, {(1, 2): z, (2, 1): z})
-    assert collapse_bidegree(f) == {(1, 1, 1): GaussianRational.of(2)}
-    for spec in (scale2_spec, shift_entire_spec):
-        for _ in range(100):
-            f = rand_series(rng, spec, 6, 4, 3, **CAPS)
-            # the z^m coefficients summed word by word over equal letter counts
-            sums: dict = {}
-            for w, a in f.terms.items():
-                for m, c in a.coeffs.items():
-                    key = (m, w.count(1), w.count(2))
-                    sums[key] = sums.get(key, GaussianRational()) + c
-            sums = {key: c for key, c in sums.items() if c}
-            assert collapse_bidegree(f) == sums
-            blocks: dict = {}
-            for (m, n1, n2), c in sums.items():
-                blocks.setdefault((1,) * n1 + (2,) * n2, {})[m] = c
-            assert bidegree_series(f).terms == {w: EntirePoly(cs) for w, cs in blocks.items()}
-
-
-def test_bidegree_series_fixes_canonical_input(scale2_spec):
-    f = series(scale2_spec, {(1, 1, 2): EntirePoly({2: 1, 0: 1})})
-    assert bidegree_series(f) == f
-
-
-def test_bidegree_series_never_increases_norm(rng, scale2_spec):
-    grid = (0.5, 1, 2, 4)
-    for _ in range(200):
-        f = rand_series(rng, scale2_spec, 3, 4, 3, **CAPS)
-        g = bidegree_series(f)
-        for lam in grid:
-            for rho in grid:
-                gv, _ = twisted_norm(g, lam, rho)
-                fv, _ = twisted_norm(f, lam, rho)
-                assert gv <= fv + 1e-9
-
-
 # -- canonical representatives and quotient norms ----------------------------
 
 
@@ -226,6 +184,9 @@ def test_quotient_norm_spot_values(scale2_spec):
     assert quotient_norm(f, 1, 4.0) == pytest.approx(4.0, abs=1e-12)
     assert quotient_norm(f, 1, 1.5) == pytest.approx(0.84375, abs=1e-12)
     assert quotient_norm(f, 1, 1.0) == 0.0
+    # a plain class with n < 0 weighs rho^|n|
+    g = series(scale2_spec, {(2,): z})
+    assert quotient_norm(g, 1, 4.0) == 4.0
 
 
 def test_quotient_norm_swap_symmetry(scale_half_spec):
@@ -237,39 +198,11 @@ def test_quotient_norm_swap_symmetry(scale_half_spec):
     assert quotient_norm(f, 1, 1.0) == 0.0
 
 
-def test_quotient_norm_display_flag(scale2_spec):
-    z = EntirePoly({1: 1})
-    f = series(scale2_spec, {(1,): z})
-    # plain case: both forms agree
-    assert quotient_norm(f, 1, 4.0, paper_display=True) == pytest.approx(4.0, abs=1e-12)
-    # padded case: the transcribed display is off by a factor |q|^m
-    display = quotient_norm(f, 1, 1.5, paper_display=True)
-    assert display == pytest.approx(0.84375 * 2, abs=1e-12)
-    # plain case with n < 0: the representative has rho^|n|, the display rho^n
-    g = series(scale2_spec, {(2,): z})
-    assert quotient_norm(g, 1, 4.0) == 4.0
-    assert quotient_norm(g, 1, 4.0, paper_display=True) == 0.25
-
-
-def test_quotient_norm_display_padded_nonpositive_winding(scale2_spec, scale_half_spec):
-    # |q|^m > rho >= |q|^(m/2) pads the class; for n <= 0 the display is c lam^m rho^n,
-    # and over q = 1/2 the class of x1 is the mirror of the class of x2 over q = 2
-    z = EntirePoly({1: 1})
-    for spec, word in ((scale2_spec, (2,)), (scale_half_spec, (1,))):
-        f = series(spec, {word: z})
-        assert quotient_norm(f, 1, 1.5, paper_display=True) == 1.5**-1
-        assert quotient_norm(f, 2, 1.5, paper_display=True) == 2 * 1.5**-1
-        g = series(spec, {(): z})
-        assert quotient_norm(g, 1, 1.5, paper_display=True) == 1.0
-
-
 def test_quotient_norm_rejects_nonpositive_rho(scale2_spec, scale_half_spec):
-    # the display used to evaluate at any rho
     for spec in (scale2_spec, scale_half_spec):
         f = series(spec, {(1,): EntirePoly({1: 1})})
-        for paper_display in (False, True):
-            with pytest.raises(ValueError, match="rho must be positive"):
-                quotient_norm(f, 1, -2.0, paper_display=paper_display)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            quotient_norm(f, 1, -2.0)
 
 
 def test_quotient_norm_vanishes_on_ideal(rng, scale2_spec):

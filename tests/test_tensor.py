@@ -13,7 +13,6 @@ from skewcalc import (
     embed_ore,
     i_w_apply,
     mul,
-    single_variable_norm,
     twisted_norm,
 )
 from skewcalc.bases import MismatchedBaseError
@@ -205,14 +204,6 @@ def test_zero_valued_upper_bounds_stay_exact(shift_entire_spec):
     f = TwistedSeries.term(shift_entire_spec, EntirePoly({1: 1}), (1,) * 6, **CAPS)
     value, tag = twisted_norm(f, 1, 2.0)
     assert (value, tag) == (0.0, Exactness.EXACT)
-
-
-def test_single_variable_norm_restricts_support(scale2_spec):
-    good = TwistedSeries.term(scale2_spec, EntirePoly.one(), (1, 1), **CAPS)
-    assert single_variable_norm(good, 1, 1.0)[0] == 1.0
-    bad = TwistedSeries.term(scale2_spec, EntirePoly.one(), (1, 2), **CAPS)
-    with pytest.raises(ValueError):
-        single_variable_norm(bad, 1, 1.0)
 
 
 # -- embeddings --------------------------------------------------------------
