@@ -34,7 +34,6 @@ returned, tagged via :class:`Exactness`.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
@@ -191,16 +190,25 @@ class _Polynomial(SparseElement):
         return self._trusted({m - 1: c * m for m, c in self.coeffs.items() if m > 0})
 
     def shift_argument(self, s: Fraction):
-        """Exact substitution z -> z - s via binomial expansion."""
-        s = Fraction(s)
-        out: dict = {}
-        for m, c in self.coeffs.items():
-            # (z - s)^m
-            for j in range(m + 1):
-                coeff = c * (math.comb(m, j) * (-s) ** (m - j))
-                out[j] = out[j] + coeff if j in out else coeff
-        # terms cancel across degrees, and s = 0 makes every lower term zero
-        return self._trusted({j: c for j, c in out.items() if c})
+        """Exact substitution z -> z - s, as a Taylor shift by Horner's scheme.
+
+        With t = -s in the kind's own scalar field, n passes of synthetic
+        division ``a[j] += t * a[j + 1]`` (j = n-1 .. i on pass i) turn the
+        dense coefficients of f(z) into those of f(z + t), with no binomials
+        and no powers of s (von zur Gathen & Gerhard, "Fast algorithms for
+        Taylor shifts and certain difference equations", ISSAC 1997).
+        """
+        t = self._scalar(-Fraction(s))
+        n = self.degree()
+        a = [self.coeffs.get(j) for j in range(n + 1)]  # None marks an empty slot
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c = a[j + 1]
+                if c:
+                    c = t * c
+                    a[j] = c if a[j] is None else a[j] + c
+        # terms cancel across degrees, and s = 0 leaves every lower term zero
+        return self._trusted({j: c for j, c in enumerate(a) if c})
 
 
 class EntirePoly(_Polynomial):
@@ -558,13 +566,16 @@ class BaseSpec:
     def _twisted_entire_shift(self, el, w, lam):
         # zero certificate: a leading 1-block long enough forces the
         # single-variable seminorm to vanish, and padding on the right
-        # can only shrink the value.
+        # can only shrink the value.  z -> s z maps the shift-by-s base at
+        # index lam isometrically onto the shift-by-1 base at lam/|s|, so
+        # the block must satisfy (ones - 2)|s| > 2 lam; it never fires at
+        # s = 0, where the automorphism is the identity.
         ones = 0
         for letter in w:
             if letter != 1:
                 break
             ones += 1
-        if ones >= math.floor(2 * float(lam)) + 3:
+        if (ones - 2) * abs(self.aut.step) > 2 * Fraction(lam):
             return 0.0, Exactness.EXACT
         return self._slot_upper_bound(el, w, lam), Exactness.UPPER_BOUND
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,8 @@ class SessionConfig:
 
 
 _CONFIG_KEYS = ("base", "automorphism", "q", "derivation", "L", "D")
+# "free" or "free(<int>)"; the count is checked by BaseSpec
+_FREE_BASE = re.compile(r"free(?:\((-?[0-9]+)\))?")
 
 
 def _build_config(values: dict) -> SessionConfig:
@@ -61,11 +64,11 @@ def _build_config(values: dict) -> SessionConfig:
     base = values.get("base", "entire")
     ngens = 2
     if base.startswith("free"):
-        if "(" in base:
-            try:
-                ngens = int(base[base.index("(") + 1 : base.rindex(")")])
-            except ValueError:
-                raise ConfigError(f"bad base spec {base!r}")
+        match = _FREE_BASE.fullmatch(base)
+        if match is None:
+            raise ConfigError(f"bad base spec {base!r}")
+        if match[1] is not None:
+            ngens = int(match[1])
         base = "free"
     if base not in ("entire", "interval", "free"):
         raise ConfigError(f"unknown base {base!r}")

@@ -365,7 +365,7 @@ class ConfigError(Exception):
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
+    """Flat key = value lines; '#' starts a comment; a key may appear once."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -374,5 +374,8 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
+        out[key] = value.strip()
     return out

@@ -6,9 +6,11 @@ for the value (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1, so equal
 values have equal triples and equality and hashing are integer
 compares.  Arithmetic works on the ints alone, with one shared
 denominator and as few gcds as the operands allow (Knuth, TAOCP vol. 2,
-4.5.1); ``re``, ``im`` and ``abs2()`` hand out ``fractions.Fraction``
-values.  Only seminorm evaluation (which needs square roots and real
-powers) goes through binary64 floats.
+4.5.1): a power of a real a/d is a^k/d^k, already in lowest terms, and a
+power of a complex value squares and multiplies the integer pair (a, b)
+and takes one gcd with d^k at the end.  ``re``, ``im`` and ``abs2()``
+hand out ``fractions.Fraction`` values.  Only seminorm evaluation (which
+needs square roots and real powers) goes through binary64 floats.
 """
 
 from __future__ import annotations
@@ -122,15 +124,20 @@ class GaussianRational:
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
             return self.inverse() ** (-k)
-        result = _ONE
-        base = self
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            # gcd(a, d) == 1, so a^k / d^k is in lowest terms
+            return _make(a**k, 0, d**k)
+        # square-and-multiply on the integer pair, then one gcd
+        dk = d**k
+        re, im = 1, 0
         while True:
             if k & 1:
-                result = result * base
+                re, im = re * a - im * b, re * b + im * a
             k >>= 1
             if not k:
-                return result
-            base = base * base
+                return _reduced(re, im, dk)
+            a, b = a * a - b * b, 2 * a * b
 
     def abs2(self) -> Fraction:
         """|q|^2 as an exact rational."""
@@ -200,6 +207,3 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
             b //= g
             d //= g
     return _make(a, b, d)
-
-
-_ONE = _make(1, 0, 1)

@@ -87,6 +87,42 @@ def test_shift_argument_is_substitution():
     assert shifted == IntervalPoly({2: 1, 1: -2, 0: 1})
 
 
+def ref_shift(coeffs, s):
+    """f(z - s) by the binomial expansion sum_m c_m sum_j C(m, j) (-s)^(m-j) z^j."""
+    out = {}
+    for m, c in coeffs.items():
+        for j in range(m + 1):
+            out[j] = out.get(j, 0) + c * (math.comb(m, j) * (-s) ** (m - j))
+    return {j: c for j, c in out.items() if c}
+
+
+shift_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+SHIFT_SCALARS = {
+    EntirePoly: st.builds(GaussianRational, shift_fractions, shift_fractions),
+    IntervalPoly: shift_fractions,
+}
+
+
+def shift_inputs(kind):
+    values = SHIFT_SCALARS[kind]
+    sparse = st.dictionaries(st.integers(0, 12), values, max_size=5)
+    dense = st.integers(0, 12).flatmap(
+        lambda n: st.lists(values, min_size=n + 1, max_size=n + 1)).map(lambda cs: dict(enumerate(cs)))
+    return st.one_of(sparse, dense).map(kind)
+
+
+@pytest.mark.parametrize("kind", (EntirePoly, IntervalPoly), ids=lambda k: k.__name__)
+@given(data=st.data())
+def test_shift_argument_matches_binomial_expansion(kind, data):
+    f = data.draw(shift_inputs(kind))
+    s = data.draw(st.sampled_from([Fraction(x) for x in ("0", "1", "-1", "1/2", "-1/2", "7/3")]))
+    shifted = f.shift_argument(s)
+    assert shifted == kind(ref_shift(f.coeffs, s))
+    scalar_type = GaussianRational if kind is EntirePoly else Fraction
+    for c in shifted.coeffs.values():
+        assert type(c) is scalar_type and c
+
+
 # -- plain seminorms ---------------------------------------------------------
 
 
@@ -398,6 +434,23 @@ def test_twisted_seminorm_entire_shift_zero_certificate(shift_entire_spec):
     assert (value, tag) == (0.0, Exactness.EXACT)
     value, tag = shift_entire_spec.twisted_seminorm(f, (1,) * 4, 1)
     assert tag is Exactness.UPPER_BOUND
+
+
+def test_shift_zero_certificate_reads_the_step():
+    # z -> s z maps the shift-by-s base at lam onto the shift-by-1 base at
+    # lam/|s|: at step 1/2 a 1-block of 5 at lam = 1 certifies nothing, and
+    # step 0 is the identity.  The value is 1 (the trivial decomposition
+    # from above, evaluation at c = 1 from below).
+    for step in (Fraction(1, 2), Fraction(0)):
+        spec = BaseSpec("entire", ShiftAut(step))
+        value, tag = spec.twisted_seminorm(spec.one(), (1,) * 5, 1)
+        assert (value, tag) == (1.0, Exactness.UPPER_BOUND), step
+    assert BaseSpec("entire", IdentityAut()).twisted_seminorm(
+        EntirePoly.one(), (1,) * 5, 1) == (1.0, Exactness.EXACT)
+    # at |step| = 1/2 the block must satisfy (ones - 2)/2 > 2 lam
+    spec = BaseSpec("entire", ShiftAut(Fraction(-1, 2)))
+    assert spec.twisted_seminorm(spec.one(), (1,) * 6, 1)[1] is Exactness.UPPER_BOUND
+    assert spec.twisted_seminorm(spec.one(), (1,) * 7, 1) == (0.0, Exactness.EXACT)
 
 
 def test_twisted_seminorm_free_diagonal_upper_bound(free_diag_spec):

@@ -1,4 +1,5 @@
 import contextlib
+import pathlib
 
 import pytest
 
@@ -307,10 +308,24 @@ def test_config_error_names_the_value(capsys, tmp_path):
                           ("base = free(0)\nautomorphism = identity\n",
                            "a free base needs at least one generator"),
                           ("base = free(-2)\nautomorphism = identity\n",
-                           "a free base needs at least one generator")):
+                           "a free base needs at least one generator"),
+                          # only free and free(<int>) name the free base
+                          ("base = freedom\n", "bad base spec 'freedom'"),
+                          ("base = free(2)x\n", "bad base spec 'free(2)x'"),
+                          ("base = free( 2)\n", "bad base spec 'free( 2)'"),
+                          # a repeated key used to keep its last value
+                          ("q = 2\nq = 3\n", "line 2: repeated key 'q'")):
         cfg.write_text(text)
         argv = ["--config", str(cfg), "qnorm", "z*x1"]
         assert run(capsys, argv) == (2, "", f"config error: {message}\n"), text
+
+
+def test_benchmark_free_config(capsys):
+    # base = free(2): the free base with two generators, g1 scaled by 2
+    cfg = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "free.cfg"
+    argv = ["--config", str(cfg)]
+    assert run(capsys, argv + ["mul", "g1*x1", "g2*x2"]) == (0, "(1/2*g1*g2)*x1*x2\n", "")
+    assert run(capsys, argv + ["norm", "g1"]) == (0, "1.0 (exact)\n", "")
 
 
 def test_config_identity_with_derivation(capsys, tmp_path):

@@ -249,3 +249,6 @@ def test_parse_config_text():
 def test_parse_config_rejects_bad_lines():
     with pytest.raises(ConfigError):
         parse_config_text("base entire")
+    # a repeated key used to keep its last value without a word
+    with pytest.raises(ConfigError, match="line 3: repeated key 'q'"):
+        parse_config_text("q = 2\nbase = entire\n q=3  # again\n")

@@ -109,7 +109,13 @@ def test_inverse_and_division(p, q):
     check(Fraction(1, 3) / y, ref_mul((Fraction(1, 3), Fraction(0)), ref_inverse(q)))
 
 
-@given(nonzero_pairs, st.integers(-6, 6))
+# 1 + i and (1 + i)/2, whose powers need the final gcd ((1 + i)^2 / 4 = i/2),
+# and the units i and -1
+gaussian_units = st.sampled_from([(Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(1, 2)),
+                                  (Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0))])
+
+
+@given(st.one_of(nonzero_pairs, gaussian_units), st.integers(-12, 12))
 def test_power(p, k):
     check(gr(p) ** k, ref_pow(p, k))
 
