@@ -17,7 +17,6 @@ from .bases import (
     FreeSeries,
     IdentityAut,
     IntervalPoly,
-    PolyDerivation,
     ScaleAut,
     ShiftAut,
     SparseElement,
@@ -29,7 +28,6 @@ from .bases import (
 )
 from .ore import (
     LaurentOrePoly,
-    alpha_derivation_check,
     laurent_series_norm,
     localizability_probe,
     ore_mul,

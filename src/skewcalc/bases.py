@@ -19,8 +19,8 @@ sum(|c_k| rho^weight(k)) of :func:`weighted_seminorm`.
 Elements are built in one of two ways.  The public constructor validates
 its input: it coerces every key and coefficient to the kind's types, drops
 zero coefficients and, for polynomials, rejects negative degrees.  Results
-of arithmetic (``+ - *``, negation, ``scale``, the automorphisms,
-``derivative`` and ``shift_argument``) are already clean, so they are
+of arithmetic (``+ - *``, negation, ``scale``, the automorphisms and
+``shift_argument``) are already clean, so they are
 wrapped by the private ``SparseElement._trusted`` without another pass;
 each such operation drops the zeros its sums produce itself.  Combining
 elements of two different kinds raises :class:`MismatchedBaseError`.
@@ -186,9 +186,6 @@ class _Polynomial(SparseElement):
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
-    def derivative(self):
-        return self._trusted({m - 1: c * m for m, c in self.coeffs.items() if m > 0})
-
     def shift_argument(self, s: Fraction):
         """Exact substitution z -> z - s, as a Taylor shift by Horner's scheme.
 
@@ -243,7 +240,7 @@ class FreeSeries(SparseElement):
 
 
 # ---------------------------------------------------------------------------
-# automorphisms and derivations
+# automorphisms
 # ---------------------------------------------------------------------------
 
 
@@ -335,16 +332,6 @@ class DiagonalAut:
 
     def inverse(self) -> "DiagonalAut":
         return DiagonalAut(tuple(q.inverse() for q in self.qs))
-
-
-@dataclass(frozen=True)
-class PolyDerivation:
-    """d/dz on polynomial elements; an alpha-derivation only for alpha=id."""
-
-    kind: ClassVar[str] = "ddz"
-
-    def apply(self, el):
-        return el.derivative()
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +551,13 @@ class BaseSpec:
         return weighted_seminorm(el, lam_eff), Exactness.EXACT
 
     def _twisted_entire_shift(self, el, w, lam):
+        if not self.aut.step:  # a step of 0 is the identity map
+            return self.seminorm(el, lam), Exactness.EXACT
         # zero certificate: a leading 1-block long enough forces the
         # single-variable seminorm to vanish, and padding on the right
         # can only shrink the value.  z -> s z maps the shift-by-s base at
         # index lam isometrically onto the shift-by-1 base at lam/|s|, so
-        # the block must satisfy (ones - 2)|s| > 2 lam; it never fires at
-        # s = 0, where the automorphism is the identity.
+        # the block must satisfy (ones - 2)|s| > 2 lam.
         ones = 0
         for letter in w:
             if letter != 1:

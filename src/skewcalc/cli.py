@@ -18,7 +18,6 @@ from .bases import (
     DiagonalAut,
     Exactness,
     IdentityAut,
-    PolyDerivation,
     ScaleAut,
     ShiftAut,
     UnsupportedAutomorphism,
@@ -48,11 +47,10 @@ from .tensor import TwistedSeries, twisted_norm
 @dataclass(frozen=True)
 class SessionConfig:
     spec: BaseSpec
-    delta: object
     caps: dict
 
 
-_CONFIG_KEYS = ("base", "automorphism", "q", "derivation", "L", "D")
+_CONFIG_KEYS = ("base", "automorphism", "q", "L", "D")
 # "free" or "free(<int>)"; the count is checked by BaseSpec
 _FREE_BASE = re.compile(r"free(?:\((-?[0-9]+)\))?")
 
@@ -77,20 +75,6 @@ def _build_config(values: dict) -> SessionConfig:
     if base == "free" and "automorphism" not in values:
         aut_name = "diagonal"
 
-    derivation = values.get("derivation", "none")
-    if derivation == "none":
-        delta = None
-    elif derivation == "ddz":
-        if base == "free":
-            raise ConfigError("the derivation needs a polynomial base")
-        # d/dz is an alpha-derivation only for alpha = id; under any other
-        # automorphism the Ore product would not associate
-        if aut_name != "identity":
-            raise ConfigError("the derivation ddz needs automorphism = identity")
-        delta = PolyDerivation()
-    else:
-        raise ConfigError(f"unknown derivation {derivation!r}")
-
     # malformed values (a zero or unparsable q, a non-integer cap, an
     # automorphism the base does not support) are configuration errors
     try:
@@ -113,7 +97,7 @@ def _build_config(values: dict) -> SessionConfig:
                 raise ConfigError(f"{key} must be nonnegative, got {caps[name]}")
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
-    return SessionConfig(spec, delta, caps)
+    return SessionConfig(spec, caps)
 
 
 def load_config(path: str | None) -> SessionConfig:
@@ -214,7 +198,7 @@ def run_command(args, config: SessionConfig) -> int:
         return obj
 
     def parse(source: str):
-        return admit(parse_expr(source, config.spec, config.caps, config.delta))
+        return admit(parse_expr(source, config.spec, config.caps))
 
     # every line is formatted before any is printed, so a failure prints nothing
     lines = []
@@ -225,9 +209,7 @@ def run_command(args, config: SessionConfig) -> int:
             # can be lifted into the Ore picture of the other factor
             def lift(obj):
                 if isinstance(obj, TwistedSeries) and not any(obj.terms):
-                    return LaurentOrePoly(
-                        config.spec, {0: obj.coefficient(())}, config.delta
-                    )
+                    return LaurentOrePoly(config.spec, {0: obj.coefficient(())})
                 return obj
 
             lhs, rhs = lift(lhs), lift(rhs)

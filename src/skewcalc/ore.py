@@ -5,9 +5,8 @@ form a monoid under ``+``, so one loop multiplies every kind:
 (fg)_k = sum over k1 + k2 = k of f_{k1} * alpha^{twist(k1)}(g_{k2}).
 :class:`LaurentOrePoly` has exponents of t for keys (twist = exponent, no
 caps); ``TwistedSeries`` has two-letter words (twist = winding, capped).
-An Ore polynomial may instead carry a derivation, t a -> alpha(a) t +
-delta(a), on nonnegative supports only.  Arithmetic results skip the
-public constructor's checks through the private ``_derived``.
+Arithmetic results skip the public constructor's checks through the
+private ``_derived``.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ _new = object.__new__
 _setattr = object.__setattr__  # past the frozen __setattr__
 
 
-class DerivationSupportError(ValueError):
-    """A derivation was combined with negative exponents."""
-
-
 class _TwistedMap:
     """The fields ``spec``, ``terms`` and ``truncated``, and the ring operations.
 
@@ -34,7 +29,6 @@ class _TwistedMap:
     """
 
     __slots__ = ()
-    delta = None  # only an Ore polynomial may carry a derivation
 
     def __post_init__(self):
         cleaned = {}
@@ -63,7 +57,7 @@ class _TwistedMap:
     def _covers(self, other) -> bool:  # other's caps are within this map's
         return True
 
-    # the fields after the terms (caps, derivation) pass through
+    # the fields after the terms (the caps) pass through
     @classmethod
     def zero(cls, spec: BaseSpec, *fields, **named):
         return cls(spec, {}, *fields, **named)
@@ -79,8 +73,6 @@ class _TwistedMap:
     def _check(self, other):
         if type(other) is not type(self) or other.spec != self.spec:
             raise MismatchedBaseError("operands live over different base specs")
-        if (self.delta is None) != (other.delta is None):
-            raise MismatchedBaseError("operands disagree on the derivation")
 
     def __add__(self, other):
         self._check(other)
@@ -138,62 +130,20 @@ class _TwistedMap:
 class LaurentOrePoly(_TwistedMap):
     spec: BaseSpec
     terms: dict = field(default_factory=dict)
-    delta: object = None  # optional derivation, e.g. PolyDerivation
     truncated: bool = False
 
     _key = int
     _unit = 0
     _twist = int  # t^i twists by alpha^i
 
-    def __post_init__(self):
-        _TwistedMap.__post_init__(self)
-        if self.delta is not None and any(i < 0 for i in self.terms):
-            raise DerivationSupportError(
-                "a nonzero derivation requires nonnegative exponents"
-            )
-
     def __mul__(self, other):
         return ore_mul(self, other)
 
 
 def ore_mul(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
-    """Exact product under the skew rewriting rule."""
+    """Exact product under the skew rewriting rule t a = alpha(a) t."""
     f._check(g)
-    if f.delta is None:
-        return f._product(g)
-    # under a derivation, f g sums a_i (t^i g), where t p is the twisted
-    # product t * p plus delta applied to each coefficient of p
-    spec, delta = f.spec, f.delta
-    t = f.term(spec, spec.one(), 1, delta)
-    out = f._derived({}, f.truncated or g.truncated)
-    power = g  # t^i g
-    for i in range(max(f.terms, default=-1) + 1):
-        if i:
-            power = t._product(power) + power._derived(
-                {j: delta.apply(b) for j, b in power.terms.items()}, power.truncated
-            )
-        if i in f.terms:
-            out = out + f.term(spec, f.terms[i], 0, delta)._product(power)
-    return out
-
-
-@dataclass(frozen=True)
-class DerivationReport:
-    passed: bool
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.passed
-
-
-def alpha_derivation_check(spec: BaseSpec, delta, samples) -> DerivationReport:
-    """Verify delta(ab) = alpha(a) delta(b) + delta(a) b on sample pairs."""
-    for a, b in samples:
-        lhs = delta.apply(a * b)
-        rhs = spec.aut.apply(a, 1) * delta.apply(b) + delta.apply(a) * b
-        if lhs != rhs:
-            return DerivationReport(False, (a, b))
-    return DerivationReport(True)
+    return f._product(g)
 
 
 def laurent_series_norm(f: LaurentOrePoly, lam, rho: float) -> float:

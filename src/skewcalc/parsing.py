@@ -6,7 +6,7 @@ sign and the factor after it (``-2^2`` is -4).  Atoms are rational numbers
 (``3/2``), imaginary literals (``2i``, ``i``), the base variable ``z``,
 free generators ``g1``, ``g2``, ..., the series generators ``x1``/``x2``,
 the skew variable ``t``, or a parenthesized subexpression.  Only ``t``
-may carry a negative exponent (and only without a derivation).
+may carry a negative exponent.
 
 Config files are flat ``key = value`` lines with exact rational literals.
 """
@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .bases import BaseSpec
-from .ore import DerivationSupportError, LaurentOrePoly
+from .ore import LaurentOrePoly
 from .scalars import GaussianRational
 from .tensor import TwistedSeries
 from .words import Word
@@ -216,10 +216,7 @@ class _Ring:
         if exponent < 0:
             if "t" not in self.gens or value != self.atom("t"):
                 raise _RingError("negative exponents are only allowed on t")
-            try:
-                return self.make(self.spec.one(), exponent)
-            except DerivationSupportError:
-                raise _RingError("t^-1 is not available with a derivation") from None
+            return self.make(self.spec.one(), exponent)
         # square and multiply from the low bit; no squaring after the top bit
         result = self.make(self.spec.one(), self.unit)
         while True:
@@ -231,7 +228,7 @@ class _Ring:
             value = value * value
 
 
-def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None, delta=None):
+def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None):
     """Parse into a TwistedSeries, or a LaurentOrePoly when t occurs."""
     caps = caps or {}
     tokens = _tokenize(source)
@@ -243,7 +240,7 @@ def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None, delta=None
         if is_t != uses_t:
             raise ParseError("an expression cannot mix t with x1/x2", 1, pos + 1)
     if uses_t:
-        ring = _Ring(spec, lambda a, i: LaurentOrePoly.term(spec, a, i, delta), 0, {"t": 1})
+        ring = _Ring(spec, lambda a, i: LaurentOrePoly.term(spec, a, i), 0, {"t": 1})
     else:
         ring = _Ring(spec, lambda a, w: TwistedSeries.term(spec, a, w, **caps), (),
                      {"x1": (1,), "x2": (2,)})

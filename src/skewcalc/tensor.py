@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bases import BaseSpec, Exactness
-from .ore import DerivationSupportError, _TwistedMap
+from .ore import _TwistedMap
 from .words import Word, check_word, winding
 
 DEFAULT_MAX_WORD_LEN = 24
@@ -87,13 +87,10 @@ def embed_ore(p, which: str = "x1", **caps) -> TwistedSeries:
     """Embed a nonnegative-support skew polynomial, t^n -> x1^n or x2^n.
 
     The x2 embedding views p as living over the inverse automorphism, so
-    the resulting series carries the inverse spec of p.  The embedding is
-    multiplicative only without a derivation, so p must carry none.
+    the resulting series carries the inverse spec of p.
     """
     if which not in ("x1", "x2"):
         raise ValueError("which must be 'x1' or 'x2'")
-    if p.delta is not None:
-        raise DerivationSupportError("a skew polynomial with a derivation does not embed")
     if any(i < 0 for i in p.terms):
         raise ValueError("only nonnegative supports embed")
     letter = 1 if which == "x1" else 2

@@ -15,7 +15,6 @@ from skewcalc import (
     IdentityAut,
     Interval,
     IntervalPoly,
-    PolyDerivation,
     ScaleAut,
     ShiftAut,
     UnsupportedAutomorphism,
@@ -60,14 +59,13 @@ def test_entire_poly_arithmetic_is_exact():
 def test_interval_poly_evaluate():
     f = IntervalPoly({2: 1, 0: -1})
     assert f.evaluate(Fraction(3, 2)) == Fraction(5, 4)
-    assert f.derivative() == IntervalPoly({1: 2})
 
 
 def test_interval_poly_keeps_rational_coefficients():
     # the Sturm code does Fraction arithmetic on these coefficients
     f = IntervalPoly({2: Fraction(1, 3), 0: -1})
     g = IntervalPoly({1: 2})
-    for result in (f + g, f * g, f.scale(Fraction(3, 2)), f.derivative(),
+    for result in (f + g, f * g, f.scale(Fraction(3, 2)),
                    f.shift_argument(Fraction(1, 2))):
         assert result.coeffs
         assert all(type(c) is Fraction for c in result.coeffs.values())
@@ -341,8 +339,7 @@ def test_aut_kind_is_not_an_argument():
     # answer the plain seminorm instead of the shift zero certificate
     for make in (lambda: ShiftAut(1, "identity"), lambda: IdentityAut("scale"),
                  lambda: ScaleAut(q_of(2), kind="shift"),
-                 lambda: DiagonalAut((q_of(2), q_of(3)), "identity"),
-                 lambda: PolyDerivation("ddz")):
+                 lambda: DiagonalAut((q_of(2), q_of(3)), "identity")):
         with pytest.raises(TypeError):
             make()
     assert (IdentityAut().kind, ShiftAut(2).kind) == ("identity", "shift")
@@ -438,15 +435,17 @@ def test_twisted_seminorm_entire_shift_zero_certificate(shift_entire_spec):
 
 def test_shift_zero_certificate_reads_the_step():
     # z -> s z maps the shift-by-s base at lam onto the shift-by-1 base at
-    # lam/|s|: at step 1/2 a 1-block of 5 at lam = 1 certifies nothing, and
-    # step 0 is the identity.  The value is 1 (the trivial decomposition
-    # from above, evaluation at c = 1 from below).
-    for step in (Fraction(1, 2), Fraction(0)):
+    # lam/|s|: at step 1/2 a 1-block of 5 at lam = 1 certifies nothing.  The
+    # value is 1 (the trivial decomposition from above, evaluation at c = 1
+    # from below).  Step 0 is the identity map: the plain seminorm, exact.
+    for step, tag in ((Fraction(1, 2), Exactness.UPPER_BOUND), (Fraction(0), Exactness.EXACT)):
         spec = BaseSpec("entire", ShiftAut(step))
-        value, tag = spec.twisted_seminorm(spec.one(), (1,) * 5, 1)
-        assert (value, tag) == (1.0, Exactness.UPPER_BOUND), step
-    assert BaseSpec("entire", IdentityAut()).twisted_seminorm(
-        EntirePoly.one(), (1,) * 5, 1) == (1.0, Exactness.EXACT)
+        assert spec.twisted_seminorm(spec.one(), (1,) * 5, 1) == (1.0, tag), step
+    identity = BaseSpec("entire", IdentityAut())
+    assert identity.twisted_seminorm(EntirePoly.one(), (1,) * 5, 1) == (1.0, Exactness.EXACT)
+    f = EntirePoly({2: Fraction(3, 2), 0: 1})
+    for spec in (identity, BaseSpec("entire", ShiftAut(0))):
+        assert spec.twisted_seminorm(f, (1, 2, 2), 2) == (7.0, Exactness.EXACT)
     # at |step| = 1/2 the block must satisfy (ones - 2)/2 > 2 lam
     spec = BaseSpec("entire", ShiftAut(Fraction(-1, 2)))
     assert spec.twisted_seminorm(spec.one(), (1,) * 6, 1)[1] is Exactness.UPPER_BOUND

@@ -282,11 +282,8 @@ def test_config_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["--config", str(worse), "qnorm", "z*x1"])
     assert code == 2
     for text in ("q = 0\n", "q = 1/0\n", "D = abc\n",
-                 # d/dz is an alpha-derivation only for the identity
-                 "derivation = ddz\n",
-                 "automorphism = shift\nderivation = ddz\n",
-                 # unknown keys, a removed one among them, never fall back to defaults
-                 "format = csv\n", "automorphsm = identity\n",
+                 # unknown keys, removed ones among them, never fall back to defaults
+                 "format = csv\n", "automorphsm = identity\n", "derivation = ddz\n",
                  # three generators, two diagonal factors
                  "base = free(3)\nautomorphism = diagonal\nq = 2, 1/2\n"):
         malformed = tmp_path / "malformed.cfg"
@@ -299,10 +296,10 @@ def test_config_error_exit_code(capsys, tmp_path):
 def test_config_error_names_the_value(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     for text, message in (("base = free(x)\n", "bad base spec 'free(x)'"),
-                          ("derivation = foo\n", "unknown derivation 'foo'"),
                           ("automorphism = twist\n", "unknown automorphism 'twist'"),
-                          ("base = free(2)\nderivation = ddz\n",
-                           "the derivation needs a polynomial base"),
+                          # derivation is no key: t a = alpha(a) t is the one commutation rule
+                          ("derivation = ddz\n", "unknown key 'derivation'"
+                           " (known: base, automorphism, q, L, D)"),
                           # free(0) was a base without generators; under free(-2)
                           # g1 was an unknown generator
                           ("base = free(0)\nautomorphism = identity\n",
@@ -326,13 +323,6 @@ def test_benchmark_free_config(capsys):
     argv = ["--config", str(cfg)]
     assert run(capsys, argv + ["mul", "g1*x1", "g2*x2"]) == (0, "(1/2*g1*g2)*x1*x2\n", "")
     assert run(capsys, argv + ["norm", "g1"]) == (0, "1.0 (exact)\n", "")
-
-
-def test_config_identity_with_derivation(capsys, tmp_path):
-    cfg = tmp_path / "weyl.cfg"
-    cfg.write_text("base = entire\nautomorphism = identity\nderivation = ddz\n")
-    code, out, _ = run(capsys, ["--config", str(cfg), "mul", "t", "z"])
-    assert (code, out.strip()) == (0, "(z)*t + 1")
 
 
 @pytest.mark.parametrize("method, argv, calls", [

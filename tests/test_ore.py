@@ -6,28 +6,19 @@ import pytest
 from skewcalc import (
     BaseSpec,
     EntirePoly,
-    IdentityAut,
     LaurentOrePoly,
-    PolyDerivation,
-    alpha_derivation_check,
     laurent_series_norm,
     localizability_probe,
     ore_mul,
 )
 from skewcalc.bases import DiagonalAut, MismatchedBaseError, ScaleAut
-from skewcalc.ore import DerivationSupportError
 
 from conftest import rand_entire
 
 
-def rand_ore(rng, spec, delta=None, lo=-3, hi=3):
-    coeffs = {rng.randint(0 if delta else lo, hi): rand_entire(rng) for _ in range(rng.randint(1, 3))}
-    return LaurentOrePoly(spec, coeffs, delta)
-
-
-@pytest.fixture
-def weyl_spec():
-    return BaseSpec("entire", IdentityAut())
+def rand_ore(rng, spec, lo=-3, hi=3):
+    coeffs = {rng.randint(lo, hi): rand_entire(rng) for _ in range(rng.randint(1, 3))}
+    return LaurentOrePoly(spec, coeffs)
 
 
 # -- ring structure ----------------------------------------------------------
@@ -73,49 +64,6 @@ def test_mismatched_specs_rejected(scale2_spec, scale_half_spec):
         ore_mul(f, g)
 
 
-def test_mismatched_derivations_rejected(weyl_spec):
-    f = LaurentOrePoly.one(weyl_spec, PolyDerivation())
-    g = LaurentOrePoly.one(weyl_spec)
-    for op in (lambda: f + g, lambda: f * g):
-        with pytest.raises(MismatchedBaseError, match="operands disagree on the derivation"):
-            op()
-
-
-# -- derivations -------------------------------------------------------------
-
-
-def test_derivation_rejects_negative_support(weyl_spec):
-    with pytest.raises(DerivationSupportError):
-        LaurentOrePoly(weyl_spec, {-1: EntirePoly.one()}, PolyDerivation())
-
-
-def test_weyl_relation(weyl_spec):
-    # with alpha = id and delta = d/dz: t * z = z * t + 1
-    delta = PolyDerivation()
-    t = LaurentOrePoly.term(weyl_spec, EntirePoly.one(), 1, delta)
-    z = LaurentOrePoly.term(weyl_spec, EntirePoly({1: 1}), 0, delta)
-    expected = LaurentOrePoly(
-        weyl_spec, {1: EntirePoly({1: 1}), 0: EntirePoly.one()}, delta
-    )
-    assert ore_mul(t, z) == expected
-
-
-def test_weyl_associativity(rng, weyl_spec):
-    delta = PolyDerivation()
-    for _ in range(20):
-        f, g, h = (rand_ore(rng, weyl_spec, delta) for _ in range(3))
-        assert ore_mul(ore_mul(f, g), h) == ore_mul(f, ore_mul(g, h))
-
-
-def test_alpha_derivation_check(rng, weyl_spec, shift_entire_spec):
-    delta = PolyDerivation()
-    samples = [(rand_entire(rng), rand_entire(rng)) for _ in range(25)]
-    assert alpha_derivation_check(weyl_spec, delta, samples)
-    # d/dz is not an alpha-derivation for the shift automorphism
-    report = alpha_derivation_check(shift_entire_spec, delta, samples)
-    assert not report.passed and report.witness is not None
-
-
 # -- norms and tables --------------------------------------------------------
 
 
@@ -127,9 +75,9 @@ def test_laurent_series_norm_values(scale2_spec):
         laurent_series_norm(f, 1, 0)
 
 
-def test_laurent_norm_submultiplicative_identity_aut(rng, weyl_spec):
+def test_laurent_norm_submultiplicative_identity_aut(rng, identity_entire_spec):
     for _ in range(60):
-        f, g = rand_ore(rng, weyl_spec), rand_ore(rng, weyl_spec)
+        f, g = rand_ore(rng, identity_entire_spec), rand_ore(rng, identity_entire_spec)
         for lam, rho in ((1, 1), (0.5, 2), (2, 0.5)):
             lhs = laurent_series_norm(ore_mul(f, g), lam, rho)
             bound = laurent_series_norm(f, lam, rho) * laurent_series_norm(g, lam, rho)

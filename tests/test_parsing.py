@@ -10,7 +10,6 @@ from skewcalc import (
     GaussianRational,
     LaurentOrePoly,
     ParseError,
-    PolyDerivation,
     ScaleAut,
     TwistedSeries,
     format_element,
@@ -65,9 +64,9 @@ def test_parse_free_generators(free_diag_spec):
 
 
 def test_parse_errors(scale2_spec, interval_shift_spec):
-    def column(source, spec=scale2_spec, caps=CAPS, **kw):
+    def column(source, spec=scale2_spec, caps=CAPS):
         with pytest.raises(ParseError) as info:
-            parse_expr(source, spec, caps, **kw)
+            parse_expr(source, spec, caps)
         return info.value.column
 
     # cannot mix the two pictures: the column of the second picture's first token
@@ -84,9 +83,6 @@ def test_parse_errors(scale2_spec, interval_shift_spec):
     assert column("x1^-1") == 3  # the '^'
     with pytest.raises(ParseError, match=only_t):
         parse_expr("(z*t)^-1", scale2_spec)
-    with pytest.raises(ParseError, match="t\\^-1 is not available with a derivation"):
-        parse_expr("t^-1", scale2_spec, delta=PolyDerivation())
-    assert column("t^-1", caps=None, delta=PolyDerivation()) == 2
     # no complex scalars on the interval base: the column of the literal
     assert column("1i*x1", interval_shift_spec) == 1
     assert column("z + 2i*x1", interval_shift_spec) == 5
@@ -148,17 +144,15 @@ def test_leading_minus_is_times_minus_one(source):
 
 
 def test_power_equals_repeated_product(scale2_spec, identity_entire_spec):
-    # d/dz is an alpha-derivation (so the Ore product associates) only for alpha = id
-    weyl = identity_entire_spec
     cases = (
-        ("(z*x1 + 2*x2 - 1/2)", scale2_spec, None, TwistedSeries.one(scale2_spec, **CAPS)),
-        ("(z*t - 1 + 2*t^-1)", scale2_spec, None, LaurentOrePoly.one(scale2_spec)),
-        ("(z*t + 1)", weyl, PolyDerivation(), LaurentOrePoly.one(weyl, PolyDerivation())),
+        ("(z*x1 + 2*x2 - 1/2)", scale2_spec, TwistedSeries.one(scale2_spec, **CAPS)),
+        ("(z*t - 1 + 2*t^-1)", scale2_spec, LaurentOrePoly.one(scale2_spec)),
+        ("(z*t + 1)", identity_entire_spec, LaurentOrePoly.one(identity_entire_spec)),
     )
-    for text, spec, delta, expected in cases:
-        value = parse_expr(text, spec, CAPS, delta)
+    for text, spec, expected in cases:
+        value = parse_expr(text, spec, CAPS)
         for n in range(7):
-            power = parse_expr(f"{text}^{n}", spec, CAPS, delta)
+            power = parse_expr(f"{text}^{n}", spec, CAPS)
             assert power == expected and not getattr(power, "truncated", False)
             expected = expected * value
 

@@ -8,7 +8,6 @@ from skewcalc import (
     Exactness,
     GaussianRational,
     LaurentOrePoly,
-    PolyDerivation,
     TwistedSeries,
     embed_ore,
     i_w_apply,
@@ -16,7 +15,6 @@ from skewcalc import (
     twisted_norm,
 )
 from skewcalc.bases import MismatchedBaseError
-from skewcalc.ore import DerivationSupportError
 from skewcalc.words import all_words, winding
 
 from conftest import rand_entire, rand_series, rand_word
@@ -229,17 +227,6 @@ def test_embed_ore_rejects_negative_support(scale2_spec):
         embed_ore(p)
     with pytest.raises(ValueError):
         embed_ore(LaurentOrePoly.one(scale2_spec), "x3")
-
-
-def test_embed_ore_rejects_derivation(identity_entire_spec):
-    # t z = z t + 1 under d/dz, while x1 z = z x1: no multiplicative embedding
-    spec, delta = identity_entire_spec, PolyDerivation()
-    t = LaurentOrePoly.term(spec, spec.one(), 1, delta)
-    z = LaurentOrePoly.term(spec, EntirePoly({1: 1}), 0, delta)
-    assert t * z == LaurentOrePoly(spec, {1: EntirePoly({1: 1}), 0: spec.one()}, delta)
-    for p in (t, z):
-        with pytest.raises(DerivationSupportError):
-            embed_ore(p)
 
 
 def test_embed_is_multiplicative(rng, scale2_spec):
