@@ -392,43 +392,69 @@ def _sturm_chain(dense: list) -> list:
     return [_poly_divmod(p, g)[0] for p in chain] if len(g) > 1 else chain
 
 
-def _sign_changes(chain: list, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_changes(chain: list, x: Fraction) -> tuple[int, Fraction]:
+    """V(x), the sign changes of the chain's values at x, and chain[0](x)."""
+    values = [_poly_eval(p, x) for p in chain]
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b), values[0]
+
+
+def _refine(s: list, a: Fraction, b: Fraction, sb: Fraction) -> Fraction:
+    """The midpoint of the cell at most _ROOT_WIDTH wide around s's one root in (a, b].
+
+    sb is s(b).  The root is simple, so s changes sign there: it lies in
+    (mid, b] iff s(b) = 0 or s(mid) s(b) < 0, and in (a, mid] otherwise.
+    These are the halves the Sturm counts would pick, at one evaluation of
+    s per level instead of the whole chain.
+    """
+    while b - a > _ROOT_WIDTH:
+        mid = (a + b) / 2
+        sm = _poly_eval(s, mid)
+        if not sb or sm < 0 < sb or sb < 0 < sm:
+            a = mid
+        else:
+            b, sb = mid, sm
+    return (a + b) / 2
 
 
 def interval_seminorm(f: IntervalPoly, window) -> float:
     """sup of |f| over the closed window (lo, hi), or 0 over None (empty).
 
-    |f| is evaluated at the endpoints and at f's critical points: each
-    distinct real root of f' in the window is bisected down to a cell at
-    most _ROOT_WIDTH wide, whose midpoint is the candidate.  One stack holds
-    the cells (a, V(a), b, V(b)), so each Sturm count is computed once and
-    a split point's count serves both halves.  Both ends are made Fractions
-    first, so the bisection stays exact when a caller passes ints.
+    |f| is evaluated at the endpoints and at f's critical points, the
+    distinct real roots of f' in the window.  Counts V of a Sturm chain
+    whose first member s = chain[0] is the squarefree part of f' isolate
+    them: V(a) - V(b) roots lie in a cell (a, b], and a cell with two or
+    more is bisected.  One stack holds the cells (a, V(a), b, V(b), s(b)),
+    so each count is computed once and a split point's count serves both
+    halves.  A cell holding one root is then refined by the sign of s alone
+    (:func:`_refine`) down to a cell at most _ROOT_WIDTH wide, whose
+    midpoint is the candidate; so is a cell of that width that still holds
+    several.  Both ends are made Fractions first, so the bisection stays
+    exact when a caller passes ints.  An inverted window (lo > hi) raises
+    ValueError.
     """
     if window is None:
         return 0.0
     dense = _dense(f)
     lo, hi = Fraction(window[0]), Fraction(window[1])
+    if lo > hi:
+        raise ValueError(f"inverted window ({lo}, {hi}); the empty window is None")
     candidates = [lo, hi]
     if len(dense) > 2:
         chain = _sturm_chain(_poly_deriv(dense))
-        stack = [(lo, _sign_changes(chain, lo), hi, _sign_changes(chain, hi))]
+        v_lo = _sign_changes(chain, lo)[0]
+        stack = [(lo, v_lo, hi, *_sign_changes(chain, hi))]
         while stack:
-            a, va, b, vb = stack.pop()
-            if va == vb:
-                continue
-            mid = (a + b) / 2
-            if b - a <= _ROOT_WIDTH:
-                candidates.append(mid)
-            else:
-                vm = _sign_changes(chain, mid)
-                stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+            a, va, b, vb, sb = stack.pop()
+            if va - vb == 1:
+                candidates.append(_refine(chain[0], a, b, sb))
+            elif va != vb:
+                mid = (a + b) / 2
+                if b - a <= _ROOT_WIDTH:
+                    candidates.append(mid)
+                else:
+                    vm, sm = _sign_changes(chain, mid)
+                    stack += [(a, va, mid, vm, sm), (mid, vm, b, vb, sb)]
     return float(max(abs(_poly_eval(dense, x)) for x in candidates))
 
 
@@ -545,9 +571,14 @@ class BaseSpec:
             raise UnsupportedAutomorphism(
                 "the scaling closed form requires |q| != 1"
             )
+        if el.degree() == 0:  # |c| at every radius, also where lam_eff underflows
+            return weighted_seminorm(el, lam), Exactness.EXACT
         k_min, k_max = extremal_twists(w)
         k = k_max if self.aut.abs_gt_one() else k_min
         lam_eff = float(lam) * abs(self.aut.q) ** (-k)
+        if not lam_eff:
+            raise ArithmeticError(f"the effective radius lambda*|q|^({-k}) underflows"
+                                  f" the float range")
         return weighted_seminorm(el, lam_eff), Exactness.EXACT
 
     def _twisted_entire_shift(self, el, w, lam):

@@ -240,6 +240,138 @@ def test_interval_seminorm_empty_window_is_zero():
     assert interval_seminorm(f, None) == 0.0
 
 
+def test_interval_seminorm_rejects_an_inverted_window():
+    # a supremum over an empty set; the empty window is None
+    with pytest.raises(ValueError, match="inverted window"):
+        interval_seminorm(IntervalPoly({3: 1, 1: -3}), Interval(2, 1))
+
+
+def ref_interval_seminorm(f: IntervalPoly, window) -> float:
+    """The all-chain bisection: a Sturm count at every level of every root."""
+    if window is None:
+        return 0.0
+    dense = bases._dense(f)
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    candidates = [lo, hi]
+    if len(dense) > 2:
+        chain = bases._sturm_chain(bases._poly_deriv(dense))
+
+        def count(x):
+            signs = [v > 0 for v in (bases._poly_eval(p, x) for p in chain) if v]
+            return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+        stack = [(lo, count(lo), hi, count(hi))]
+        while stack:
+            a, va, b, vb = stack.pop()
+            if va == vb:
+                continue
+            mid = (a + b) / 2
+            if b - a <= bases._ROOT_WIDTH:
+                candidates.append(mid)
+            else:
+                vm = count(mid)
+                stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+    return float(max(abs(bases._poly_eval(dense, x)) for x in candidates))
+
+
+def _levels(width: Fraction) -> int:
+    """ceil(log2(width / _ROOT_WIDTH)): the halvings down to a final cell."""
+    levels = 0
+    while width > bases._ROOT_WIDTH:
+        levels, width = levels + 1, width / 2
+    return levels
+
+
+@st.composite
+def critical_point_cases(draw):
+    """(f, window) with f's critical points where the refinement can go wrong."""
+    lo = Fraction(draw(st.integers(-4, 3)), draw(st.sampled_from([1, 2, 3])))
+    width = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3),
+                                  Fraction(4)]))
+    hi = lo + width
+    dyadic = st.integers(1, 20).flatmap(  # the bisection midpoints of level k
+        lambda k: st.integers(1, 2**k - 1).map(lambda j: lo + width * Fraction(j, 2**k)))
+    ends = st.sampled_from([lo, hi])
+    inside = st.fractions(min_value=lo, max_value=hi, max_denominator=97)
+    gaps = st.sampled_from([Fraction(1, 10**e) for e in (11, 12, 13, 14)])
+    # two roots a third of a final cell apart share that cell
+    final = width / 2 ** _levels(width)
+    same_cell = st.integers(0, 2 ** _levels(width) - 1).map(
+        lambda j: [lo + final * (j + Fraction(1, 3)), lo + final * (j + Fraction(2, 3))])
+    root_lists = st.one_of(
+        st.lists(dyadic, min_size=1, max_size=3),
+        st.lists(st.one_of(ends, dyadic), min_size=1, max_size=3),
+        st.builds(lambda r, pair: [r, r + pair], inside, gaps),
+        same_cell,
+    )
+    roots = {}
+    for r in draw(root_lists):
+        roots[r] = roots.get(r, 0) + draw(st.integers(1, 3))  # repeated roots
+    return _antiderivative(roots, draw(small_fractions.filter(bool)),
+                           draw(small_fractions)), Interval(lo, hi)
+
+
+low_degree_cases = st.tuples(
+    st.dictionaries(st.integers(0, 2), small_fractions, max_size=3).map(IntervalPoly),
+    st.one_of(
+        st.none(),
+        small_fractions.map(lambda x: Interval(x, x)),
+        st.tuples(small_fractions, small_fractions).map(lambda ab: Interval(*sorted(ab))),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(critical_point_cases(), low_degree_cases,
+                      st.tuples(random_polys, st.tuples(small_fractions, small_fractions)
+                                .map(lambda ab: Interval(*sorted(ab))))))
+def test_interval_seminorm_matches_all_chain_bisection(case):
+    # refining a one-root cell by the sign of chain[0] picks the cells the
+    # Sturm counts would, so the value is repr-identical
+    f, window = case
+    assert repr(interval_seminorm(f, window)) == repr(ref_interval_seminorm(f, window))
+
+
+@pytest.mark.parametrize("coeffs, lo, hi, distinct_critical", [
+    ({2: 1}, -1, 2, 1),  # one root, so the isolating cell is the whole window
+    ({4: 1, 2: -2}, -2, 2, 3),  # f' = 4z(z - 1)(z + 1)
+    ({3: 1, 1: -3}, -2, 2, 2),  # f' = 3(z - 1)(z + 1): +-1 are bisection midpoints
+    ({3: 1}, -1, 1, 1),  # f' = 3z^2: one distinct root, twice
+    ({5: 1, 3: Fraction(-25, 3), 1: 20}, Fraction(-5, 2), Fraction(3, 2), 3),  # -2, -1, 1
+])
+def test_interval_seminorm_refines_on_one_evaluation_per_level(monkeypatch, coeffs, lo, hi,
+                                                               distinct_critical):
+    # after isolation, each root costs at most one evaluation of chain[0]
+    # (the squarefree part of f') per level, and none of the rest of the chain
+    chains, refine_evals, counting = [], [], []
+    sturm_chain, sign_changes, poly_eval = (bases._sturm_chain, bases._sign_changes,
+                                            bases._poly_eval)
+
+    def captured_chain(dense):
+        chains.append(sturm_chain(dense))
+        return chains[-1]
+
+    def counted_changes(chain, x):
+        counting.append(x)
+        try:
+            return sign_changes(chain, x)
+        finally:
+            counting.pop()
+
+    def counted_eval(dense, x):
+        if chains and not counting:
+            assert dense is chains[0][0] or dense == bases._dense(IntervalPoly(coeffs))
+            if dense is chains[0][0]:
+                refine_evals.append(x)
+        return poly_eval(dense, x)
+
+    monkeypatch.setattr(bases, "_sturm_chain", captured_chain)
+    monkeypatch.setattr(bases, "_sign_changes", counted_changes)
+    monkeypatch.setattr(bases, "_poly_eval", counted_eval)
+    interval_seminorm(IntervalPoly(coeffs), Interval(lo, hi))
+    assert 0 < len(refine_evals) <= distinct_critical * _levels(Fraction(hi - lo))
+
+
 def test_unit_has_norm_one(scale2_spec, interval_shift_spec, free_diag_spec):
     for spec, lam in ((scale2_spec, 2), (interval_shift_spec, 3), (free_diag_spec, 0.5)):
         assert spec.seminorm(spec.one(), lam) == 1.0
@@ -389,6 +521,17 @@ def test_twisted_seminorm_scale_closed_form(scale2_spec, scale_half_spec):
     # |q| < 1 rescales by |q|^{-k_min}; k_min(2211) = -2
     value, tag = scale_half_spec.twisted_seminorm(z, (2, 2, 1, 1), 1)
     assert (value, tag) == (0.25, Exactness.EXACT)
+
+
+def test_twisted_seminorm_scale_constant_survives_an_underflowed_radius(scale2_spec):
+    # k_max(1^1100 2^1100) = 1100, and lambda * 2^-1100 underflows to 0.0
+    w = (1,) * 1100 + (2,) * 1100
+    assert 1.0 * 2.0 ** -1100 == 0.0
+    for c, value in ((3, 3.0), (GaussianRational(Fraction(3), Fraction(4)), 5.0)):
+        assert scale2_spec.twisted_seminorm(EntirePoly({0: c}), w, 1) == (value, Exactness.EXACT)
+    with pytest.raises(ArithmeticError, match="underflows") as caught:
+        scale2_spec.twisted_seminorm(EntirePoly({1: 1}), w, 1)
+    assert not isinstance(caught.value, (OverflowError, ValueError))
 
 
 def test_twisted_seminorm_rejects_unit_modulus_q():

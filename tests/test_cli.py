@@ -235,6 +235,34 @@ def test_vanishing_underflow_is_not_a_certificate(capsys):
     assert (code, out.strip()) == (0, "RapidDecayObserved")
 
 
+def test_scale_twisted_constant_survives_an_underflowed_radius(capsys, tmp_path):
+    # q = 2: lambda * 2^-k underflows to 0.0 from k = 1075, but a constant's
+    # seminorm is |c| at every radius
+    code, out, err = run(capsys, ["vanishing", "--r", "1", "--depth", "1100"])
+    assert (code, out.strip(), err) == (0, "NoDecay", "")
+    path = tmp_path / "long.cfg"
+    path.write_text("L = 3000\n")
+    code, out, _ = run(capsys, ["--config", str(path), "norm", "x1^1100*x2", "--rho", "1"])
+    assert (code, out.strip()) == (0, "1.0 (exact)")
+    # a nonconstant element names the underflow, not the radius
+    code, out, err = run(capsys, ["--config", str(path), "norm", "z*x1^1100*x2", "--rho", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the effective radius") and "underflows" in err
+
+
+@pytest.mark.parametrize("expr, lam, expected", [
+    # an irrational interior critical point: the value reads the refined cell
+    ("z^4 - 2*z^2 + 1/3*z", "3/2", "1.3400101954252286 (exact)"),
+    # the critical points +-1 are bisection midpoints of [-2, 2]
+    ("(z^3 - 3*z)*x1", "2", "2.0 (exact)"),
+    # repeated critical points
+    ("(z^2 - 1)^3", "3/2", "1.953125 (exact)"),
+])
+def test_interval_sup_norm_spot_values(capsys, interval_cfg, expr, lam, expected):
+    code, out, _ = run(capsys, ["--config", interval_cfg, "norm", expr, "--lambda", lam])
+    assert (code, out.strip()) == (0, expected)
+
+
 def test_vanishing_r_must_be_a_base_element(capsys):
     for r, message in (("x1", "expected a base-algebra element without x1/x2"),
                        ("t", "expected a base-algebra element")):
