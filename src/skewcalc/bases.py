@@ -280,12 +280,6 @@ class ScaleAut:
     def inverse(self) -> "ScaleAut":
         return ScaleAut(self.q.inverse())
 
-    def abs_is_one(self) -> bool:
-        return self.q.abs2() == 1
-
-    def abs_gt_one(self) -> bool:
-        return self.q.abs2() > 1
-
 
 @dataclass(frozen=True)
 class ShiftAut:
@@ -476,15 +470,21 @@ def weighted_seminorm(el: SparseElement, rho: float) -> float:
 # base spec
 # ---------------------------------------------------------------------------
 
-_ELEMENT_TYPES = {"entire": EntirePoly, "interval": IntervalPoly, "free": FreeSeries}
+# each base kind: its element type, and the automorphism kinds it admits
+# with the default (the CLI's, when a config names none) first
+BASES = {
+    "entire": (EntirePoly, ("scale", "identity", "shift")),
+    "interval": (IntervalPoly, ("shift", "identity")),
+    "free": (FreeSeries, ("diagonal", "identity")),
+}
 
 
 @dataclass(frozen=True)
 class BaseSpec:
     """A concrete seminormed base algebra with an automorphism action.
 
-    ``kind`` selects the element type; ``aut`` must act on it.  The
-    seminorm index is a positive radius for entire/free elements and a
+    ``kind`` selects the element type; ``aut`` must act on it (:data:`BASES`).
+    The seminorm index is a positive radius for entire/free elements and a
     positive half-width n (window [-n, n]) for interval elements.
     """
 
@@ -493,14 +493,9 @@ class BaseSpec:
     ngens: int = 2  # only used by the free base
 
     def __post_init__(self):
-        if self.kind not in _ELEMENT_TYPES:
+        if self.kind not in BASES:
             raise ValueError(f"unknown base kind {self.kind!r}")
-        allowed = {
-            "entire": ("identity", "scale", "shift"),
-            "interval": ("identity", "shift"),
-            "free": ("identity", "diagonal"),
-        }[self.kind]
-        if self.aut.kind not in allowed:
+        if self.aut.kind not in BASES[self.kind][1]:
             raise UnsupportedAutomorphism(
                 f"{self.aut.kind} automorphism is not supported on the {self.kind} base"
             )
@@ -513,7 +508,7 @@ class BaseSpec:
 
     @property
     def element_type(self):
-        return _ELEMENT_TYPES[self.kind]
+        return BASES[self.kind][0]
 
     def zero(self):
         return self.element_type.zero()
@@ -528,6 +523,11 @@ class BaseSpec:
 
     def inverse(self) -> "BaseSpec":
         return BaseSpec(self.kind, self.aut.inverse(), self.ngens)
+
+    @property
+    def aut_is_identity(self) -> bool:
+        """alpha is the identity map: IdentityAut, or a shift by 0."""
+        return self.aut.kind == "identity" or (self.aut.kind == "shift" and not self.aut.step)
 
     def is_invertible(self, el) -> bool:
         """True for nonzero constants, the units among stored elements."""
@@ -550,31 +550,29 @@ class BaseSpec:
     def twisted_seminorm(self, el, w: Word, lam) -> tuple[float, Exactness]:
         """Per-word seminorm; exact closed forms where the base provides them."""
         self.check_index(lam)
-        if len(w) <= 1:
-            return self.seminorm(el, lam), Exactness.EXACT
         if el.is_zero():
             return 0.0, Exactness.EXACT
+        if len(w) <= 1 or self.aut_is_identity:
+            return self.seminorm(el, lam), Exactness.EXACT
         if self.kind == "entire" and self.aut.kind == "scale":
             return self._twisted_entire_scale(el, w, lam)
         if self.kind == "interval" and self.aut.kind == "shift":
             window = interval(w, lam, step=self.aut.step)
             return interval_seminorm(el, window), Exactness.EXACT
-        if self.aut.kind == "identity":
-            return self.seminorm(el, lam), Exactness.EXACT
         if self.kind == "entire" and self.aut.kind == "shift":
             return self._twisted_entire_shift(el, w, lam)
         # free/diagonal: best slot-placement upper bound
         return self._slot_upper_bound(el, w, lam), Exactness.UPPER_BOUND
 
     def _twisted_entire_scale(self, el, w, lam):
-        if self.aut.abs_is_one():
+        if self.aut.q.abs2() == 1:
             raise UnsupportedAutomorphism(
                 "the scaling closed form requires |q| != 1"
             )
         if el.degree() == 0:  # |c| at every radius, also where lam_eff underflows
             return weighted_seminorm(el, lam), Exactness.EXACT
         k_min, k_max = extremal_twists(w)
-        k = k_max if self.aut.abs_gt_one() else k_min
+        k = k_max if self.aut.q.abs2() > 1 else k_min
         lam_eff = float(lam) * abs(self.aut.q) ** (-k)
         if not lam_eff:
             raise ArithmeticError(f"the effective radius lambda*|q|^({-k}) underflows"
@@ -582,8 +580,6 @@ class BaseSpec:
         return weighted_seminorm(el, lam_eff), Exactness.EXACT
 
     def _twisted_entire_shift(self, el, w, lam):
-        if not self.aut.step:  # a step of 0 is the identity map
-            return self.seminorm(el, lam), Exactness.EXACT
         # zero certificate: a leading 1-block long enough forces the
         # single-variable seminorm to vanish, and padding on the right
         # can only shrink the value.  z -> s z maps the shift-by-s base at

@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bases import (
+    BASES,
     BaseSpec,
     DiagonalAut,
-    Exactness,
     IdentityAut,
     ScaleAut,
     ShiftAut,
@@ -68,12 +69,9 @@ def _build_config(values: dict) -> SessionConfig:
         if match[1] is not None:
             ngens = int(match[1])
         base = "free"
-    if base not in ("entire", "interval", "free"):
+    if base not in BASES:
         raise ConfigError(f"unknown base {base!r}")
-
-    aut_name = values.get("automorphism", "scale" if base == "entire" else "shift")
-    if base == "free" and "automorphism" not in values:
-        aut_name = "diagonal"
+    aut_name = values.get("automorphism", BASES[base][1][0])
 
     # malformed values (a zero or unparsable q, a non-integer cap, an
     # automorphism the base does not support) are configuration errors
@@ -146,11 +144,8 @@ def _base_element(parsed):
     return parsed.coefficient(())
 
 
-def _norm(parsed, lam, rho) -> tuple[float, Exactness]:
-    """The weighted norm of a twisted series or a Laurent polynomial, tagged."""
-    if isinstance(parsed, TwistedSeries):
-        return twisted_norm(parsed, lam, rho)
-    return laurent_series_norm(parsed, lam, rho), Exactness.EXACT
+# the tagged weighted norm of each picture
+_NORMS = {TwistedSeries: twisted_norm, LaurentOrePoly: laurent_series_norm}
 
 
 # per command: the expression operands it reads, and each option it reads
@@ -218,9 +213,8 @@ def run_command(args, config: SessionConfig) -> int:
         lines.append(format_element(admit(lhs * rhs)))
     elif cmd == "norm":
         parsed = parse(args.exprs[0])
-        value, exactness = _norm(parsed, args.lam, args.rho)
-        tag = f" ({exactness.value})" if isinstance(parsed, TwistedSeries) else ""
-        lines.append(f"{_fmt_value(value)}{tag}")
+        value, exactness = _NORMS[type(parsed)](parsed, args.lam, args.rho)
+        lines.append(f"{_fmt_value(value)} ({exactness.value})")
     elif cmd == "qnorm":
         value = quotient_norm(parse(args.exprs[0]), args.lam, float(args.rho))
         lines.append(_fmt_value(value))
@@ -277,7 +271,7 @@ def run_command(args, config: SessionConfig) -> int:
         lines.append("lambda,rho,value,exactness")
         for lam in sorted(lams, key=float):
             for rho in sorted(rhos, key=float):
-                value, exactness = _norm(parsed, lam, rho)
+                value, exactness = _NORMS[type(parsed)](parsed, lam, rho)
                 lines.append(f"{_fmt_value(lam)},{_fmt_value(rho)},{_fmt_value(value)},"
                              f"{exactness.value}")
     for line in lines:
@@ -373,7 +367,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run_command(args, config)
+        status = run_command(args, config)
+        sys.stdout.flush()  # a reader that closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader took what it wanted (e.g. `| head -1`); the flush at
+        # exit writes the rest of the buffer to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from .bases import BaseSpec, MismatchedBaseError
+from .bases import BaseSpec, Exactness, MismatchedBaseError
 
 _new = object.__new__
 _setattr = object.__setattr__  # past the frozen __setattr__
@@ -146,13 +146,14 @@ def ore_mul(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
     return f._product(g)
 
 
-def laurent_series_norm(f: LaurentOrePoly, lam, rho: float) -> float:
-    """sum ||a_i||_lam rho^i over the support."""
+def laurent_series_norm(f: LaurentOrePoly, lam, rho: float) -> tuple[float, Exactness]:
+    """sum ||a_i||_lam rho^i over the support, tagged Exact (Truncated if f's flag is)."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     f.spec.check_index(lam)
     rho = float(rho)
-    return sum(f.spec.seminorm(a, lam) * rho**i for i, a in f.terms.items())
+    value = sum(f.spec.seminorm(a, lam) * rho**i for i, a in f.terms.items())
+    return value, Exactness.TRUNCATED if f.truncated else Exactness.EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +163,8 @@ def laurent_series_norm(f: LaurentOrePoly, lam, rho: float) -> float:
 
 @dataclass(frozen=True)
 class DirectionReport:
-    verdict: str  # "bounded" | "growing" | "inconclusive"
+    verdict: str  # "bounded" | "growing"
     sup_ratio: float
-    constant: float | None = None  # set for "bounded"
 
 
 @dataclass(frozen=True)
@@ -178,61 +178,59 @@ class ProbeReport:
         return self.forward.verdict == "bounded" and self.backward.verdict == "bounded"
 
 
-def _basis_elements(spec: BaseSpec, cap: int):
-    """(degree, monomial) for every basis monomial of degree at most cap."""
+def _basis_elements(spec: BaseSpec, cap: int) -> list:
+    """Every basis monomial of degree at most cap."""
     if spec.kind == "free":
-        for length in range(cap + 1):
-            for v in product(range(spec.ngens), repeat=length):
-                yield length, spec.monomial(1, v)
-    else:
-        for m in range(cap + 1):
-            yield m, spec.monomial(1, m)
+        return [spec.monomial(1, v) for length in range(cap + 1)
+                for v in product(range(spec.ngens), repeat=length)]
+    return [spec.monomial(1, m) for m in range(cap + 1)]
 
 
-def _direction_report(spec: BaseSpec, lam, basis: list, cap: int,
-                      direction: int) -> DirectionReport:
-    """basis holds (degree, monomial, its seminorm), every seminorm nonzero."""
-    ratios = [(degree, spec.seminorm(spec.aut.apply(e, direction), lam) / denom)
-              for degree, e, denom in basis]
-    sup_ratio = max(ratio for _, ratio in ratios)
+def _grows(spec: BaseSpec, direction: int) -> bool:
+    """Whether alpha^direction is unbounded on a seminorm, decided exactly.
+
+    The identity is bounded.  A nonzero shift by s grows both ways, by
+    ((lam + |s|) / lam)^m on z^m at radius lam and ((n + |s|) / n)^m on
+    [-n, n].  Scale and diagonal multiply a monomial by factors
+    q_i^direction: they grow forward iff some |q_i| > 1, backward iff some
+    |q_i| < 1.
+    """
     aut = spec.aut
-    # closed-form bounds only where the instance provides them
-    if aut.kind == "identity":
-        return DirectionReport("bounded", sup_ratio, 1.0)
-    if aut.kind in ("scale", "diagonal"):
-        # alpha^direction multiplies each monomial by a product of the
-        # factors q_i^direction: no factor grows when every |q_i| <= 1
-        # forward, or every |q_i| >= 1 backward
-        qs = (aut.q,) if aut.kind == "scale" else aut.qs
-        if all(q.abs2() <= 1 if direction > 0 else q.abs2() >= 1 for q in qs):
-            return DirectionReport("bounded", sup_ratio, max(1.0, sup_ratio))
-    # empirical only: growth across degrees, never a negative certificate
-    half_cap = max(1, cap // 2)
-    half = max(ratio for degree, ratio in ratios if degree <= half_cap)
-    if sup_ratio > half * (1 + 1e-12) or sup_ratio > 1 + 1e-9:
-        return DirectionReport("growing", sup_ratio)
-    return DirectionReport("inconclusive", sup_ratio)
+    if spec.aut_is_identity:
+        return False
+    if aut.kind == "shift":
+        return True
+    qs = (aut.q,) if aut.kind == "scale" else aut.qs
+    return any(q.abs2() > 1 if direction > 0 else q.abs2() < 1 for q in qs)
+
+
+def _direction_report(spec: BaseSpec, lam, basis: list, direction: int) -> DirectionReport:
+    """basis holds (monomial, its seminorm), every seminorm nonzero."""
+    sup_ratio = max(spec.seminorm(spec.aut.apply(e, direction), lam) / denom
+                    for e, denom in basis)
+    return DirectionReport("growing" if _grows(spec, direction) else "bounded", sup_ratio)
 
 
 def localizability_probe(spec: BaseSpec, lams, degree_cap: int) -> list[ProbeReport]:
-    """Per-seminorm growth of alpha and alpha^-1 over basis monomials.
+    """Per-seminorm growth of alpha and alpha^-1.
 
-    Reports growth of the given family only; a growing verdict is not a
-    negative certificate of localizability.
+    Each verdict is decided exactly from alpha's parameters (:func:`_grows`);
+    the sup ratio beside it is measured over the basis monomials of degree
+    at most degree_cap.  Reports growth of the given family only; a growing
+    verdict is not a negative certificate of localizability.
     """
     if degree_cap < 1:
         raise ValueError("degree cap must be at least 1")
     reports = []
     for lam in lams:
         # each monomial's seminorm is the denominator of both directions' ratios
-        basis = [(degree, e, spec.seminorm(e, lam))
-                 for degree, e in _basis_elements(spec, degree_cap)]
-        basis = [entry for entry in basis if entry[2] != 0]
+        basis = [(e, spec.seminorm(e, lam)) for e in _basis_elements(spec, degree_cap)]
+        basis = [entry for entry in basis if entry[1] != 0]
         reports.append(
             ProbeReport(
                 lam,
-                _direction_report(spec, lam, basis, degree_cap, +1),
-                _direction_report(spec, lam, basis, degree_cap, -1),
+                _direction_report(spec, lam, basis, +1),
+                _direction_report(spec, lam, basis, -1),
             )
         )
     return reports

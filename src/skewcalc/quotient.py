@@ -45,7 +45,7 @@ def _ore_class(f) -> LaurentOrePoly:
 def _require_scale(spec: BaseSpec):
     if spec.kind != "entire" or spec.aut.kind != "scale":
         raise UnsupportedAutomorphism("quotient machinery needs the scaling base")
-    if spec.aut.abs_is_one():
+    if spec.aut.q.abs2() == 1:
         raise UnsupportedAutomorphism("|q| = 1 is excluded")
 
 
@@ -114,7 +114,7 @@ def canonical_representative(f, rho: float) -> CanonicalRep:
     _require_scale(f.spec)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    sign = 1 if f.spec.aut.abs_gt_one() else -1  # -1: x1 and x2 trade places
+    sign = 1 if f.spec.aut.q.abs2() > 1 else -1  # -1: x1 and x2 trade places
     q = f.spec.aut.q ** sign
     terms: dict = {}
     dropped = set()

@@ -77,7 +77,7 @@ def twisted_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:
     exactness = Exactness.EXACT
     for w in f.words():
         value, tag = f.spec.twisted_seminorm(f.terms[w], w, lam)
-        if tag is Exactness.UPPER_BOUND and value != 0.0:
+        if tag is Exactness.UPPER_BOUND:
             exactness = Exactness.UPPER_BOUND
         total += value * rho ** len(w)
     return total, Exactness.TRUNCATED if f.truncated else exactness

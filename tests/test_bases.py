@@ -489,8 +489,40 @@ def test_base_spec_rejects_mismatched_automorphism():
         BaseSpec("free", DiagonalAut((q_of(2), q_of("1/2"))), ngens=3)
 
 
+def test_base_spec_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown base kind 'lattice'"):
+        BaseSpec("lattice", IdentityAut())
+
+
 def test_base_spec_inverse(scale2_spec):
     assert scale2_spec.inverse().aut.q == q_of(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("spec, rand", [
+    (BaseSpec("entire", IdentityAut()), rand_entire),
+    (BaseSpec("entire", ShiftAut(Fraction(-3, 2))), rand_entire),
+    (BaseSpec("interval", ShiftAut(2)), rand_interval_poly),
+    (BaseSpec("free", DiagonalAut((q_of(2), GaussianRational(Fraction(1, 2), Fraction(1)),
+                                   q_of(-3))), ngens=3),
+     lambda rng: rand_free(rng, ngens=3)),
+])
+def test_base_spec_inverse_undoes_the_automorphism(rng, spec, rand):
+    inverse = spec.inverse()
+    assert inverse.kind == spec.kind and inverse.aut.kind == spec.aut.kind
+    for _ in range(30):
+        a = rand(rng)
+        for k in (1, 2, -1):
+            assert inverse.aut.apply(spec.aut.apply(a, k), k) == a
+            assert spec.aut.apply(inverse.aut.apply(a, k), k) == a
+
+
+def test_identity_map_is_one_predicate():
+    # IdentityAut, or a shift by 0: both the seminorm and the probe read it
+    assert BaseSpec("entire", IdentityAut()).aut_is_identity
+    assert BaseSpec("entire", ShiftAut(0)).aut_is_identity
+    assert BaseSpec("interval", ShiftAut(0)).aut_is_identity
+    assert not BaseSpec("interval", ShiftAut(Fraction(1, 10**30))).aut_is_identity
+    assert not BaseSpec("entire", ScaleAut(q_of(2))).aut_is_identity
 
 
 def test_is_invertible(scale2_spec, free_diag_spec):

@@ -1,10 +1,14 @@
 import contextlib
+import os
 import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 from skewcalc import cli
-from skewcalc.bases import BaseSpec
+from skewcalc.bases import BaseSpec, DiagonalAut, ScaleAut, ShiftAut
 from skewcalc.cli import main
 from skewcalc.parsing import ConfigError
 
@@ -83,7 +87,7 @@ def test_norm_series_and_ore(capsys, scale2_cfg):
     code, out, _ = run(
         capsys, ["--config", scale2_cfg, "norm", "t + t^-1", "--rho", "2"]
     )
-    assert (code, out.strip()) == (0, "2.5")
+    assert (code, out.strip()) == (0, "2.5 (exact)")
     # the tokenizer stops at trailing whitespace
     assert run(capsys, ["--config", scale2_cfg, "norm", "x1 "]) == (0, "1.0 (exact)\n", "")
 
@@ -290,6 +294,22 @@ def test_default_config_is_scaling_base(capsys):
     assert (code, out.strip()) == (0, "4.0")
 
 
+@pytest.mark.parametrize("base, spec", [
+    ("entire", BaseSpec("entire", ScaleAut(2))),
+    ("interval", BaseSpec("interval", ShiftAut())),
+    ("free", BaseSpec("free", DiagonalAut((2, Fraction(1, 2))))),
+    ("free(3)", None),  # three generators, the two default factors
+])
+def test_each_base_has_its_default_automorphism(tmp_path, base, spec):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(f"base = {base}\n")
+    if spec is None:
+        with pytest.raises(ConfigError, match="one factor per generator"):
+            cli.load_config(str(cfg))
+    else:
+        assert cli.load_config(str(cfg)).spec == spec
+
+
 # -- error handling ----------------------------------------------------------
 
 
@@ -372,6 +392,33 @@ def test_read_path_seminorm_calls(capsys, monkeypatch, interval_cfg, method, arg
     monkeypatch.setattr(BaseSpec, method, counted)
     code, _, _ = run(capsys, ["--config", interval_cfg, *argv])
     assert (code, len(seen)) == (0, calls)
+
+
+def test_underflowed_upper_bound_is_tagged_upper_bound(capsys, tmp_path):
+    # the slot bound 1e-400 reads 0.0, which is no exact zero
+    cfg = tmp_path / "shift.cfg"
+    cfg.write_text(SHIFT_CFG)
+    argv = ["--config", str(cfg)]
+    code, out, _ = run(capsys, argv + ["norm", "z^2*x1*x2", "--lambda", "1e-200"])
+    assert (code, out) == (0, "0.0 (upper_bound)\n")
+    code, out, _ = run(capsys, argv + ["table", "z^2*x1*x2", "--lambda-grid", "1e-200,1"])
+    assert code == 0
+    assert out.splitlines()[1] == "1e-200,1.0,0.0,upper_bound"
+
+
+def test_closed_stdout_exits_zero_without_a_traceback():
+    # about 124 KB of rows, more than a pipe holds: the writer is still
+    # writing when the reader closes after the header
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "skewcalc.cli", "vanishing", "--r", "1",
+            "--depth", "5000", "--format", "csv"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"lambda,rho,k,value,verdict\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_missing_config_file_exit_code(capsys, tmp_path):

@@ -6,12 +6,13 @@ import pytest
 from skewcalc import (
     BaseSpec,
     EntirePoly,
+    Exactness,
     LaurentOrePoly,
     laurent_series_norm,
     localizability_probe,
     ore_mul,
 )
-from skewcalc.bases import DiagonalAut, MismatchedBaseError, ScaleAut
+from skewcalc.bases import DiagonalAut, MismatchedBaseError, ScaleAut, ShiftAut
 
 from conftest import rand_entire
 
@@ -69,18 +70,20 @@ def test_mismatched_specs_rejected(scale2_spec, scale_half_spec):
 
 def test_laurent_series_norm_values(scale2_spec):
     f = LaurentOrePoly(scale2_spec, {1: EntirePoly.one(), -1: EntirePoly.one()})
-    assert laurent_series_norm(f, 1, 2.0) == 2.5
-    assert laurent_series_norm(f, 1, 0.5) == 2.5
+    assert laurent_series_norm(f, 1, 2.0) == (2.5, Exactness.EXACT)
+    assert laurent_series_norm(f, 1, 0.5) == (2.5, Exactness.EXACT)
     with pytest.raises(ValueError):
         laurent_series_norm(f, 1, 0)
+    truncated = LaurentOrePoly(scale2_spec, f.terms, truncated=True)
+    assert laurent_series_norm(truncated, 1, 2.0) == (2.5, Exactness.TRUNCATED)
 
 
 def test_laurent_norm_submultiplicative_identity_aut(rng, identity_entire_spec):
     for _ in range(60):
         f, g = rand_ore(rng, identity_entire_spec), rand_ore(rng, identity_entire_spec)
         for lam, rho in ((1, 1), (0.5, 2), (2, 0.5)):
-            lhs = laurent_series_norm(ore_mul(f, g), lam, rho)
-            bound = laurent_series_norm(f, lam, rho) * laurent_series_norm(g, lam, rho)
+            lhs, _ = laurent_series_norm(ore_mul(f, g), lam, rho)
+            bound = laurent_series_norm(f, lam, rho)[0] * laurent_series_norm(g, lam, rho)[0]
             assert lhs <= bound * (1 + 1e-9) + 1e-9
 
 
@@ -109,7 +112,6 @@ def test_probe_contracting_factors_bounded_forward():
                       (BaseSpec("free", DiagonalAut((half, Fraction(1, 3)))), 4)):
         (report,) = localizability_probe(spec, [1], cap)
         assert report.forward.verdict == "bounded"
-        assert report.forward.constant == 1.0
         assert report.backward.verdict == "growing"
         assert not report.family_bounded
 
@@ -119,6 +121,27 @@ def test_probe_diagonal_mixed(free_diag_spec):
     # factors 2 and 1/2 grow in both directions on the canonical family
     assert report.forward.verdict == "growing"
     assert report.backward.verdict == "growing"
+
+
+@pytest.mark.parametrize("spec, lam, verdicts", [
+    # a shift by 0 is the identity map
+    (BaseSpec("entire", ShiftAut(0)), 1, ("bounded", "bounded")),
+    (BaseSpec("interval", ShiftAut(0)), 1, ("bounded", "bounded")),
+    # |q| = 1 + 2^-45: q^m stays within 1 + 2^-42 of 1 up to degree 8
+    (BaseSpec("entire", ScaleAut(Fraction(2**45 + 1, 2**45))), 1, ("growing", "bounded")),
+    (BaseSpec("entire", ScaleAut(Fraction(2**45, 2**45 + 1))), 1, ("bounded", "growing")),
+    (BaseSpec("free", DiagonalAut((Fraction(1), Fraction(-1)))), 1, ("bounded", "bounded")),
+    # ((lam + 1) / lam)^m is 1 + 8e-13 at most: a shift grows both ways
+    (BaseSpec("entire", ShiftAut()), Fraction(10**13), ("growing", "growing")),
+    (BaseSpec("interval", ShiftAut()), Fraction(10**13), ("growing", "growing")),
+    (BaseSpec("interval", ShiftAut(Fraction(-1, 3))), 1, ("growing", "growing")),
+])
+def test_probe_verdicts_are_exact(spec, lam, verdicts):
+    (report,) = localizability_probe(spec, [lam], 8 if spec.kind != "free" else 3)
+    assert (report.forward.verdict, report.backward.verdict) == verdicts
+    assert report.family_bounded == (verdicts == ("bounded", "bounded"))
+    # the sup ratio is still measured: 1 for the identity, and never below 1
+    assert min(report.forward.sup_ratio, report.backward.sup_ratio) >= 1.0
 
 
 def test_probe_rejects_bad_cap(scale2_spec):

@@ -198,6 +198,16 @@ def test_upper_bound_tag_propagates(free_diag_spec):
     assert tag is Exactness.UPPER_BOUND
 
 
+def test_underflowed_upper_bound_is_not_exact(shift_entire_spec):
+    # the slot bound of z^2 on x1 x2 at lambda = 1e-200 is 1e-400, which
+    # reads 0.0 as a float: still only an upper bound, never a certificate
+    f = TwistedSeries.term(shift_entire_spec, EntirePoly({2: 1}), (1, 2), **CAPS)
+    lam = Fraction(10) ** -200
+    assert shift_entire_spec.twisted_seminorm(f.terms[(1, 2)], (1, 2), lam) == (
+        0.0, Exactness.UPPER_BOUND)
+    assert twisted_norm(f, lam, 1.0) == (0.0, Exactness.UPPER_BOUND)
+
+
 def test_zero_valued_upper_bounds_stay_exact(shift_entire_spec):
     f = TwistedSeries.term(shift_entire_spec, EntirePoly({1: 1}), (1,) * 6, **CAPS)
     value, tag = twisted_norm(f, 1, 2.0)
