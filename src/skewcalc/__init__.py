@@ -2,9 +2,7 @@
 
 from .scalars import GaussianRational
 from .words import (
-    Interval,
     canonical_word,
-    counts,
     extremal_twists,
     interval,
     partial_sums,
@@ -34,7 +32,6 @@ from .ore import (
 )
 from .tensor import (
     TwistedSeries,
-    embed_ore,
     mul,
     twisted_norm,
 )

@@ -251,9 +251,6 @@ class IdentityAut:
     def apply(self, el, k: int):
         return el
 
-    def inverse(self) -> "IdentityAut":
-        return self
-
 
 @dataclass(frozen=True)
 class ScaleAut:
@@ -277,13 +274,10 @@ class ScaleAut:
         q = self.q
         return el._trusted({m: (q ** (k * m)) * c for m, c in el.coeffs.items()})
 
-    def inverse(self) -> "ScaleAut":
-        return ScaleAut(self.q.inverse())
-
 
 @dataclass(frozen=True)
 class ShiftAut:
-    """f(z) -> f(z - step); the inverse shifts the other way."""
+    """f(z) -> f(z - step); alpha^k shifts by k * step, for every integer k."""
 
     step: Fraction = Fraction(1)
     kind: ClassVar[str] = "shift"
@@ -295,9 +289,6 @@ class ShiftAut:
         if k == 0:
             return el
         return el.shift_argument(k * self.step)
-
-    def inverse(self) -> "ShiftAut":
-        return ShiftAut(-self.step)
 
 
 @dataclass(frozen=True)
@@ -323,9 +314,6 @@ class DiagonalAut:
                 c = c * qk[i]
             out[v] = c
         return el._trusted(out)
-
-    def inverse(self) -> "DiagonalAut":
-        return DiagonalAut(tuple(q.inverse() for q in self.qs))
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +508,6 @@ class BaseSpec:
         return self.element_type.monomial(c, key)
 
     # -- structure ---------------------------------------------------------
-
-    def inverse(self) -> "BaseSpec":
-        return BaseSpec(self.kind, self.aut.inverse(), self.ngens)
 
     @property
     def aut_is_identity(self) -> bool:

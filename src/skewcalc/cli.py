@@ -216,10 +216,10 @@ def run_command(args, config: SessionConfig) -> int:
         value, exactness = _NORMS[type(parsed)](parsed, args.lam, args.rho)
         lines.append(f"{_fmt_value(value)} ({exactness.value})")
     elif cmd == "qnorm":
-        value = quotient_norm(parse(args.exprs[0]), args.lam, float(args.rho))
+        value = quotient_norm(parse(args.exprs[0]), args.lam, args.rho)
         lines.append(_fmt_value(value))
     elif cmd == "reduce":
-        rep = canonical_representative(parse(args.exprs[0]), float(args.rho))
+        rep = canonical_representative(parse(args.exprs[0]), args.rho)
         lines.append(format_element(rep.series))
         if rep.dropped:
             dropped = ", ".join(f"(m={m}, n={n})" for m, n in sorted(rep.dropped))
@@ -281,6 +281,17 @@ def run_command(args, config: SessionConfig) -> int:
     return 0
 
 
+class _StoreOnce(argparse.Action):
+    """The parser's default action: store the value, unless the argument
+    already has one.  Every argument starts at None, and no stored value is
+    None, so a repeated option is an error rather than a silent override."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> tuple:
     """The parser, and the flag of each command option by its name on the
     parsed namespace."""
@@ -288,6 +299,7 @@ def _build_parser() -> tuple:
         prog="skewcalc",
         description="Seminorm analytics for skew polynomial and twisted series algebras",
     )
+    parser.register("action", None, _StoreOnce)
     parser.add_argument("--config", metavar="PATH")
     parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("exprs", nargs="*")

@@ -78,12 +78,6 @@ def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBu
         coeffs[-1] = coeffs[-1] * (coeff / gamma)
         factors = [monomial({e: c}) for c, e in zip(coeffs, exponents)]
         out.append([tuple(factors)])
-        # occasionally split into a two-term decomposition
-        if rng.random() < 0.25:
-            t = Fraction(rng.randint(1, 3), 4)
-            left = [tuple(x.scale(t) if i == 0 else x for i, x in enumerate(factors))]
-            right = [tuple(x.scale(1 - t) if i == 0 else x for i, x in enumerate(factors))]
-            out.append(left + right)
     return out
 
 

@@ -292,23 +292,6 @@ def format_base(el, kind: str) -> str:
     return _join(parts)
 
 
-def _join_terms(terms, kind: str) -> str:
-    """Join (base coefficient, monomial text) pairs, e.g. '(2*z)*t^3 + x1 - 1'.
-
-    An empty monomial text marks the constant term.
-    """
-    parts = []
-    for a, mono in terms:
-        base = format_base(a, kind)
-        if not mono:
-            parts.append(base)
-        elif base == "1":
-            parts.append(mono)
-        else:
-            parts.append(f"({base})*{mono}")
-    return _join(parts)
-
-
 def _join(parts) -> str:
     """The sum of the parts; one that starts with '-' is subtracted, and
     '0' is the empty sum."""
@@ -335,21 +318,27 @@ def _format_word(w: Word) -> str:
     )
 
 
-def format_ore(p: LaurentOrePoly) -> str:
-    """Canonical text form, exponents descending, e.g. '(2*z)*t^3 + t^-1'."""
-    terms = ((p.terms[i], "" if i == 0 else "t" if i == 1 else f"t^{i}")
-             for i in sorted(p.terms, reverse=True))
-    return _join_terms(terms, p.spec.kind)
-
-
 def format_element(obj) -> str:
-    """Canonical text form; a series has its words ordered by (length,
-    lexicographic), e.g. '(2*z)*x1*x2 - x2^2 + 1'."""
+    """Canonical text form.  A series has its words ordered by (length,
+    lexicographic), e.g. '(2*z)*x1*x2 - x2^2 + 1'; a skew Laurent
+    polynomial has its exponents descending, e.g. '(2*z)*t^3 + t^-1'."""
     if isinstance(obj, TwistedSeries):
-        return _join_terms(((obj.terms[w], _format_word(w)) for w in obj.words()), obj.spec.kind)
-    if isinstance(obj, LaurentOrePoly):
-        return format_ore(obj)
-    raise TypeError(f"cannot format {type(obj).__name__}")
+        terms = ((obj.terms[w], _format_word(w)) for w in obj.words())
+    elif isinstance(obj, LaurentOrePoly):
+        terms = ((obj.terms[i], "" if i == 0 else "t" if i == 1 else f"t^{i}")
+                 for i in sorted(obj.terms, reverse=True))
+    else:
+        raise TypeError(f"cannot format {type(obj).__name__}")
+    parts = []
+    for a, mono in terms:  # an empty monomial text marks the constant term
+        base = format_base(a, obj.spec.kind)
+        if not mono:
+            parts.append(base)
+        elif base == "1":
+            parts.append(mono)
+        else:
+            parts.append(f"({base})*{mono}")
+    return _join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -81,19 +81,3 @@ def twisted_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:
             exactness = Exactness.UPPER_BOUND
         total += value * rho ** len(w)
     return total, Exactness.TRUNCATED if f.truncated else exactness
-
-
-def embed_ore(p, which: str = "x1", **caps) -> TwistedSeries:
-    """Embed a nonnegative-support skew polynomial, t^n -> x1^n or x2^n.
-
-    The x2 embedding views p as living over the inverse automorphism, so
-    the resulting series carries the inverse spec of p.
-    """
-    if which not in ("x1", "x2"):
-        raise ValueError("which must be 'x1' or 'x2'")
-    if any(i < 0 for i in p.terms):
-        raise ValueError("only nonnegative supports embed")
-    letter = 1 if which == "x1" else 2
-    spec = p.spec if which == "x1" else p.spec.inverse()
-    terms = {(letter,) * i: a for i, a in p.terms.items()}
-    return TwistedSeries(spec, terms, **caps)

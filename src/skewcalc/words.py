@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
 
 Word = tuple[int, ...]
 
@@ -31,16 +30,9 @@ def check_word(w: Word) -> Word:
     return tuple(w)
 
 
-def counts(w: Word) -> tuple[int, int, int]:
-    """Return (number of 1s, number of 2s, their difference)."""
-    c1 = sum(1 for letter in w if letter == 1)
-    c2 = len(w) - c1
-    return c1, c2, c1 - c2
-
-
 def winding(w: Word) -> int:
     """Signed letter count: #1s minus #2s."""
-    return counts(w)[2]
+    return 2 * w.count(1) - len(w)
 
 
 def partial_sums(w: Word) -> list[int]:
@@ -59,13 +51,6 @@ def extremal_twists(w: Word) -> tuple[int, int]:
     return min(sums), max(sums)
 
 
-class Interval(NamedTuple):
-    """The closed window [lo, hi]; the empty window is None."""
-
-    lo: Fraction
-    hi: Fraction
-
-
 def interval(w: Word, n, step=1):
     """[-n, n] shifted by p * step for each slot twist p, intersected.
 
@@ -82,7 +67,7 @@ def interval(w: Word, n, step=1):
     lo, hi = -n + s_max, n + s_min
     if lo > hi:
         return None
-    return Interval(lo, hi)
+    return lo, hi
 
 
 def canonical_word(n1: int, n2: int) -> Word:

@@ -42,7 +42,6 @@ from skewcalc.quotient import phi_table
 from skewcalc.words import (
     all_words,
     canonical_word,
-    counts,
     extremal_twists,
     interval,
     partial_sums,
@@ -275,7 +274,7 @@ def test_criterion_10_word_calculus_exhaustive(criterion):
     start = time.perf_counter()
 
     def max_twist_canonically_maximized(w):
-        n1, n2, _ = counts(w)
+        n1, n2 = w.count(1), w.count(2)
         return extremal_twists(w)[1] <= extremal_twists(canonical_word(n1, n2))[1]
 
     def concatenation_partial_sums(w):
@@ -292,9 +291,10 @@ def test_criterion_10_word_calculus_exhaustive(criterion):
             win = interval(w, n)
             if win is None:
                 continue
+            lo, hi = win
             for i in range(len(w)):
                 p = partial_sums(w)[i]
-                if win.lo < p - n or win.hi > p + n:
+                if lo < p - n or hi > p + n:
                     return False
         return True
 

@@ -17,6 +17,7 @@ INTERVAL_CFG = "base = interval\nautomorphism = shift\n"
 Q1I_CFG = "base = entire\nautomorphism = scale\nq = 1+1i\n"
 SHIFT_CFG = "automorphism = shift\n"
 D5000_CFG = "base = entire\nautomorphism = scale\nq = 2\nD = 5000\n"
+Q4_3_CFG = "base = entire\nautomorphism = scale\nq = 4/3\n"
 
 
 @pytest.fixture
@@ -214,6 +215,15 @@ def test_reduce_regime_boundary_is_exact(capsys, tmp_path):
     argv = ["--config", str(cfg), "--rho", "2", "reduce", "--", "z^2*x1"]
     code, out, _ = run(capsys, argv)
     assert (code, out.strip()) == (0, "(z^2)*x1")
+    # rho = 4/3 reaches the regimes exactly, not rounded to a float below
+    # |q| = 4/3 and rho^2 = |q|^2: z*x1 stays plain, and class (2, 1) is
+    # padded (quotient seminorm 3/4), not dropped
+    cfg = tmp_path / "q4_3.cfg"
+    cfg.write_text(Q4_3_CFG)
+    code, out, _ = run(capsys, ["--config", str(cfg), "reduce", "z*x1", "--rho", "4/3"])
+    assert (code, out.strip()) == (0, "(z)*x1")
+    code, out, _ = run(capsys, ["--config", str(cfg), "qnorm", "z^2*x1", "--rho", "4/3"])
+    assert code == 0 and float(out) == pytest.approx(0.75, rel=1e-12)
 
 
 def test_qnorm_drops_class_beyond_float_range(capsys, tmp_path):
@@ -655,6 +665,8 @@ def test_depth_zero_is_not_the_default(capsys):
     (["mul", "x2", "-x1"], "(-1)*x2*x1"),
     (["mul", "--", "-x1", "x2"], "(-1)*x1*x2"),
     (["norm", "x1", "--rho", "2", "--"], "2.0 (exact)"),
+    # a value that starts with '-' is attached with '='
+    (["vanishing", "--r=-1/2", "--depth", "2"], "NoDecay"),
 ])
 def test_options_and_operands_in_any_order(capsys, scale2_cfg, argv, expected):
     # mul reads no option but --config
@@ -672,6 +684,21 @@ def test_unknown_option_is_still_rejected(capsys):
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_repeated_option_is_rejected(capsys, scale2_cfg):
+    # the last value used to win silently; a repeated config key is an error too
+    for argv, flag in ((["norm", "x1", "--rho", "2", "--rho", "3"], "--rho"),
+                       (["norm", "--rho=2", "x1", "--rho", "2"], "--rho"),
+                       (["vanishing", "--depth", "2", "--depth", "3"], "--depth"),
+                       (["--config", scale2_cfg, "norm", "x1", "--config", scale2_cfg],
+                        "--config")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: given more than once" in err
 
 
 def test_operand_before_the_command_is_rejected(capsys):

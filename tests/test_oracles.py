@@ -111,11 +111,6 @@ def _probe_decompositions(spec, f, w, budget):
             continue
         factors[-1] = factors[-1].scale(coeff / gamma)
         out.append([tuple(factors)])
-        if rng.random() < 0.25:
-            t = Fraction(rng.randint(1, 3), 4)
-            left = [tuple(x.scale(t) if i == 0 else x for i, x in enumerate(factors))]
-            right = [tuple(x.scale(1 - t) if i == 0 else x for i, x in enumerate(factors))]
-            out.append(left + right)
     return out
 
 

@@ -7,9 +7,7 @@ from skewcalc import (
     EntirePoly,
     Exactness,
     GaussianRational,
-    LaurentOrePoly,
     TwistedSeries,
-    embed_ore,
     i_w_apply,
     mul,
     twisted_norm,
@@ -212,37 +210,3 @@ def test_zero_valued_upper_bounds_stay_exact(shift_entire_spec):
     f = TwistedSeries.term(shift_entire_spec, EntirePoly({1: 1}), (1,) * 6, **CAPS)
     value, tag = twisted_norm(f, 1, 2.0)
     assert (value, tag) == (0.0, Exactness.EXACT)
-
-
-# -- embeddings --------------------------------------------------------------
-
-
-def test_embed_ore_x1(scale2_spec):
-    p = LaurentOrePoly(scale2_spec, {0: EntirePoly.one(), 2: EntirePoly({1: 1})})
-    f = embed_ore(p, "x1", **CAPS)
-    assert f.spec == scale2_spec
-    assert f.terms == {(): EntirePoly.one(), (1, 1): EntirePoly({1: 1})}
-
-
-def test_embed_ore_x2_inverts_spec(scale2_spec):
-    p = LaurentOrePoly(scale2_spec, {1: EntirePoly({1: 1})})
-    f = embed_ore(p, "x2", **CAPS)
-    assert f.spec == scale2_spec.inverse()
-    assert f.terms == {(2,): EntirePoly({1: 1})}
-
-
-def test_embed_ore_rejects_negative_support(scale2_spec):
-    p = LaurentOrePoly(scale2_spec, {-1: EntirePoly.one()})
-    with pytest.raises(ValueError):
-        embed_ore(p)
-    with pytest.raises(ValueError):
-        embed_ore(LaurentOrePoly.one(scale2_spec), "x3")
-
-
-def test_embed_is_multiplicative(rng, scale2_spec):
-    for _ in range(30):
-        p = LaurentOrePoly(scale2_spec, {rng.randint(0, 3): rand_entire(rng, 3, 2)})
-        q = LaurentOrePoly(scale2_spec, {rng.randint(0, 3): rand_entire(rng, 3, 2)})
-        lhs = embed_ore(p * q, "x1", **CAPS)
-        rhs = mul(embed_ore(p, "x1", **CAPS), embed_ore(q, "x1", **CAPS))
-        assert lhs == rhs

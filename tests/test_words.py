@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from skewcalc import Interval, canonical_word, counts, interval
+from skewcalc import canonical_word, interval
 from skewcalc.words import (
     InvalidWordError,
     all_words,
@@ -24,9 +24,7 @@ def test_check_word_rejects_bad_letters():
 
 @given(words)
 def test_counts_and_winding(w):
-    c1, c2, c = counts(w)
-    assert c1 + c2 == len(w)
-    assert c == c1 - c2 == winding(w)
+    assert winding(w) == w.count(1) - w.count(2)
 
 
 @given(words)
@@ -69,7 +67,7 @@ def test_interval_formula(w, n):
     if -n + k_max > n + k_min:
         assert win is None
     else:
-        assert win == Interval(Fraction(-n + k_max), Fraction(n + k_min))
+        assert win == (Fraction(-n + k_max), Fraction(n + k_min))
 
 
 def test_interval_rejects_nonpositive_width():
@@ -82,8 +80,9 @@ def test_interval_contained_in_every_slot_window(w, n):
     win = interval(w, n)
     if win is None:
         return
+    lo, hi = win
     for p in partial_sums(w)[:-1]:
-        assert -n + p <= win.lo and win.hi <= n + p
+        assert -n + p <= lo and hi <= n + p
 
 
 def test_canonical_word():
@@ -95,8 +94,7 @@ def test_canonical_word():
 
 @given(words)
 def test_canonical_word_maximizes_k_max(w):
-    c1, c2, _ = counts(w)
-    assert extremal_twists(w)[1] <= extremal_twists(canonical_word(c1, c2))[1]
+    assert extremal_twists(w)[1] <= extremal_twists(canonical_word(w.count(1), w.count(2)))[1]
 
 
 def test_all_words_count():
