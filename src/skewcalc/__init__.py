@@ -26,7 +26,6 @@ from .bases import (
 )
 from .ore import (
     LaurentOrePoly,
-    laurent_series_norm,
     localizability_probe,
     ore_mul,
 )

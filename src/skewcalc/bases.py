@@ -613,7 +613,7 @@ class InvalidDecompositionError(ValueError):
 
 def generic_twisted_upper_bound(
     spec: BaseSpec, f, w: Word, lam, decomposition
-) -> tuple[float, Exactness]:
+) -> float:
     """Upper bound sum_j prod_i ||r_ij|| over an explicitly given decomposition.
 
     The decomposition (a list of factor tuples of length |w|) must
@@ -635,4 +635,4 @@ def generic_twisted_upper_bound(
         for r in factors:
             term *= spec.seminorm(r, lam)
         value += term
-    return value, Exactness.UPPER_BOUND
+    return value

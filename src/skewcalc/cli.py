@@ -18,12 +18,13 @@ from .bases import (
     BASES,
     BaseSpec,
     DiagonalAut,
+    Exactness,
     IdentityAut,
     ScaleAut,
     ShiftAut,
     UnsupportedAutomorphism,
 )
-from .ore import LaurentOrePoly, laurent_series_norm, localizability_probe
+from .ore import LaurentOrePoly, localizability_probe
 from .parsing import (
     ConfigError,
     ParseError,
@@ -144,8 +145,12 @@ def _base_element(parsed):
     return parsed.coefficient(())
 
 
-# the tagged weighted norm of each picture
-_NORMS = {TwistedSeries: twisted_norm, LaurentOrePoly: laurent_series_norm}
+def _tagged_norm(parsed, lam, rho) -> tuple[float, Exactness]:
+    """norm's and table's value: a series' weighted norm with its tag, or
+    the quotient seminorm of a t input's class, which is exact."""
+    if isinstance(parsed, LaurentOrePoly):
+        return quotient_norm(parsed, lam, rho), Exactness.EXACT
+    return twisted_norm(parsed, lam, rho)
 
 
 # per command: the expression operands it reads, and each option it reads
@@ -213,7 +218,7 @@ def run_command(args, config: SessionConfig) -> int:
         lines.append(format_element(admit(lhs * rhs)))
     elif cmd == "norm":
         parsed = parse(args.exprs[0])
-        value, exactness = _NORMS[type(parsed)](parsed, args.lam, args.rho)
+        value, exactness = _tagged_norm(parsed, args.lam, args.rho)
         lines.append(f"{_fmt_value(value)} ({exactness.value})")
     elif cmd == "qnorm":
         value = quotient_norm(parse(args.exprs[0]), args.lam, args.rho)
@@ -271,7 +276,7 @@ def run_command(args, config: SessionConfig) -> int:
         lines.append("lambda,rho,value,exactness")
         for lam in sorted(lams, key=float):
             for rho in sorted(rhos, key=float):
-                value, exactness = _NORMS[type(parsed)](parsed, lam, rho)
+                value, exactness = _tagged_norm(parsed, lam, rho)
                 lines.append(f"{_fmt_value(lam)},{_fmt_value(rho)},{_fmt_value(value)},"
                              f"{exactness.value}")
     for line in lines:

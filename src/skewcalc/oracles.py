@@ -94,7 +94,7 @@ def bruteforce_twisted_norm(spec: BaseSpec, f, w: Word, lam, budget: SearchBudge
     candidates += _random_monomial_decompositions(spec, f, w, budget)
     best = None
     for decomposition in candidates:
-        value, _ = generic_twisted_upper_bound(spec, f, w, lam, decomposition)
+        value = generic_twisted_upper_bound(spec, f, w, lam, decomposition)
         if best is None or value < best:
             best = value
     return best

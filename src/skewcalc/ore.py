@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from .bases import BaseSpec, Exactness, MismatchedBaseError
+from .bases import BaseSpec, MismatchedBaseError
 
 _new = object.__new__
 _setattr = object.__setattr__  # past the frozen __setattr__
@@ -144,16 +144,6 @@ def ore_mul(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
     """Exact product under the skew rewriting rule t a = alpha(a) t."""
     f._check(g)
     return f._product(g)
-
-
-def laurent_series_norm(f: LaurentOrePoly, lam, rho: float) -> tuple[float, Exactness]:
-    """sum ||a_i||_lam rho^i over the support, tagged Exact (Truncated if f's flag is)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    f.spec.check_index(lam)
-    rho = float(rho)
-    value = sum(f.spec.seminorm(a, lam) * rho**i for i, a in f.terms.items())
-    return value, Exactness.TRUNCATED if f.truncated else Exactness.EXACT
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ class CanonicalRep:
     dropped: frozenset  # (m, n) classes annihilated by the quotient seminorm
 
 
-def canonical_representative(f, rho: float) -> CanonicalRep:
+def canonical_representative(f, rho: Fraction | float) -> CanonicalRep:
     """The coset representative whose weighted norm is the quotient seminorm.
 
     Requires the scaling base with |q| != 1; f is a series or its Ore
@@ -135,7 +135,7 @@ def canonical_representative(f, rho: float) -> CanonicalRep:
     return CanonicalRep(series, frozenset(dropped))
 
 
-def quotient_norm(f, lam, rho: float) -> float:
+def quotient_norm(f, lam, rho: Fraction | float) -> float:
     """The quotient seminorm of f's coset, via its canonical representative.
 
     f is a series or its Ore class.  The value is the weighted norm of

@@ -18,6 +18,7 @@ Q1I_CFG = "base = entire\nautomorphism = scale\nq = 1+1i\n"
 SHIFT_CFG = "automorphism = shift\n"
 D5000_CFG = "base = entire\nautomorphism = scale\nq = 2\nD = 5000\n"
 Q4_3_CFG = "base = entire\nautomorphism = scale\nq = 4/3\n"
+BENCH_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 @pytest.fixture
@@ -88,7 +89,7 @@ def test_norm_series_and_ore(capsys, scale2_cfg):
     code, out, _ = run(
         capsys, ["--config", scale2_cfg, "norm", "t + t^-1", "--rho", "2"]
     )
-    assert (code, out.strip()) == (0, "2.5 (exact)")
+    assert (code, out.strip()) == (0, "4.0 (exact)")
     # the tokenizer stops at trailing whitespace
     assert run(capsys, ["--config", scale2_cfg, "norm", "x1 "]) == (0, "1.0 (exact)\n", "")
 
@@ -117,13 +118,62 @@ def test_table_laurent_rows(capsys, scale2_cfg):
     assert code == 0
     assert out.splitlines() == [
         "lambda,rho,value,exactness",
-        "1.0,0.5,2.5,exact", "1.0,1.0,2.0,exact",
-        "2.0,0.5,2.5,exact", "2.0,1.0,2.0,exact",
+        "1.0,0.5,0.0,exact", "1.0,1.0,2.0,exact",
+        "2.0,0.5,0.0,exact", "2.0,1.0,2.0,exact",
     ]
     code, out, _ = run(
         capsys, ["--config", scale2_cfg, "table", "t + t^-1", "--lambda-grid", ""]
     )
     assert (code, out) == (2, "")
+
+
+_CLASS_QS = {"2": SCALE2_CFG, "1/2": "q = 1/2\n", "1+1i": Q1I_CFG}
+_CLASS_SERIES = ("z*x1", "z^2*x1*x1 - 1/2*x2 + 3", "(1+1i)*z*x2*x2*x1 + z^3*x1*x2")
+
+
+@pytest.mark.parametrize("q", _CLASS_QS)
+def test_norm_of_a_class_is_its_quotient_seminorm(capsys, tmp_path, q):
+    # the t picture prints the one seminorm of the class: qnorm's value, exact
+    path = tmp_path / "scale.cfg"
+    path.write_text(_CLASS_QS[q])
+    cfg = ["--config", str(path)]
+    for series in _CLASS_SERIES:
+        code, ore, _ = run(capsys, cfg + ["to-ore", series])
+        assert code == 0 and "t" in ore
+        for lam, rho in (("1", "1"), ("1", "3/2"), ("2", "4"), ("1/2", "2")):
+            index = ["--lambda", lam, "--rho", rho]
+            code, qnorm, _ = run(capsys, cfg + ["qnorm", series, *index])
+            assert code == 0
+            norm = run(capsys, cfg + ["norm", ore.strip(), *index])
+            assert norm == (0, f"{qnorm.strip()} (exact)\n", ""), (series, lam, rho)
+        code, out, _ = run(capsys, cfg + ["table", ore.strip(), "--lambda-grid", "1/2,2",
+                                          "--rho-grid", "1,3/2,4"])
+        assert code == 0
+        for row in out.splitlines()[1:]:
+            lam, rho, value, tag = row.split(",")
+            qnorm = run(capsys, cfg + ["qnorm", series, "--lambda", lam, "--rho", rho])
+            assert (qnorm, tag) == ((0, f"{value}\n", ""), "exact"), row
+
+
+_OFF_THE_QUOTIENT = {
+    "identity": ("automorphism = identity\n", "t*z"),
+    "interval": ((BENCH_CONFIGS / "interval.cfg").read_text(), "t*z"),
+    "free": ((BENCH_CONFIGS / "free.cfg").read_text(), "g1*t"),
+    "unit q": ("q = 3/5 + 4/5i\n", "t*z"),
+}
+
+
+@pytest.mark.parametrize("name", _OFF_THE_QUOTIENT)
+def test_t_input_off_the_quotient_base_exit_code(capsys, tmp_path, name):
+    # a t input's seminorm is the quotient's, which needs entire/scale with |q| != 1
+    text, expr = _OFF_THE_QUOTIENT[name]
+    path = tmp_path / "base.cfg"
+    path.write_text(text)
+    cfg = ["--config", str(path)]
+    _, _, message = run(capsys, cfg + ["qnorm", expr])
+    assert message.startswith("unsupported configuration")
+    for command in ("norm", "table"):
+        assert run(capsys, cfg + [command, expr]) == (3, "", message), command
 
 
 def test_truncated_input_is_reported(capsys):
@@ -377,8 +427,7 @@ def test_config_error_names_the_value(capsys, tmp_path):
 
 def test_benchmark_free_config(capsys):
     # base = free(2): the free base with two generators, g1 scaled by 2
-    cfg = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "free.cfg"
-    argv = ["--config", str(cfg)]
+    argv = ["--config", str(BENCH_CONFIGS / "free.cfg")]
     assert run(capsys, argv + ["mul", "g1*x1", "g2*x2"]) == (0, "(1/2*g1*g2)*x1*x2\n", "")
     assert run(capsys, argv + ["norm", "g1"]) == (0, "1.0 (exact)\n", "")
 

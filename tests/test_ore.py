@@ -1,20 +1,21 @@
-import random
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcalc import (
     BaseSpec,
     EntirePoly,
-    Exactness,
+    GaussianRational,
     LaurentOrePoly,
-    laurent_series_norm,
     localizability_probe,
     ore_mul,
+    quotient_norm,
 )
 from skewcalc.bases import DiagonalAut, MismatchedBaseError, ScaleAut, ShiftAut
 
-from conftest import rand_entire
+from conftest import q_of, rand_entire
 
 
 def rand_ore(rng, spec, lo=-3, hi=3):
@@ -65,26 +66,37 @@ def test_mismatched_specs_rejected(scale2_spec, scale_half_spec):
         ore_mul(f, g)
 
 
-# -- norms and tables --------------------------------------------------------
+# -- the quotient seminorm of a class ----------------------------------------
+
+ore_terms = st.dictionaries(
+    st.integers(-3, 3),
+    st.dictionaries(
+        st.integers(0, 3),
+        st.sampled_from([GaussianRational.of(Fraction(x)) for x in ("1", "-1", "2", "1/2", "-3/2")]
+                        + [GaussianRational(1, -1)]),
+        min_size=1, max_size=2,
+    ).map(EntirePoly),
+    max_size=3,
+)
 
 
-def test_laurent_series_norm_values(scale2_spec):
-    f = LaurentOrePoly(scale2_spec, {1: EntirePoly.one(), -1: EntirePoly.one()})
-    assert laurent_series_norm(f, 1, 2.0) == (2.5, Exactness.EXACT)
-    assert laurent_series_norm(f, 1, 0.5) == (2.5, Exactness.EXACT)
-    with pytest.raises(ValueError):
-        laurent_series_norm(f, 1, 0)
-    truncated = LaurentOrePoly(scale2_spec, f.terms, truncated=True)
-    assert laurent_series_norm(truncated, 1, 2.0) == (2.5, Exactness.TRUNCATED)
-
-
-def test_laurent_norm_submultiplicative_identity_aut(rng, identity_entire_spec):
-    for _ in range(60):
-        f, g = rand_ore(rng, identity_entire_spec), rand_ore(rng, identity_entire_spec)
-        for lam, rho in ((1, 1), (0.5, 2), (2, 0.5)):
-            lhs, _ = laurent_series_norm(ore_mul(f, g), lam, rho)
-            bound = laurent_series_norm(f, lam, rho)[0] * laurent_series_norm(g, lam, rho)[0]
-            assert lhs <= bound * (1 + 1e-9) + 1e-9
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from((q_of(2), q_of("1/2"), q_of("3/2"), GaussianRational(1, 1))),
+    f_terms=ore_terms,
+    g_terms=ore_terms,
+    lam=st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2))),
+    rho=st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))),
+)
+def test_quotient_norm_continuous_with_index_shift(q, f_terms, g_terms, lam, rho):
+    # ||fg||_(lam, rho) <= ||f||_(Q lam, rho) ||g||_(Q lam, rho), Q = max(|q|, 1/|q|);
+    # at the same index the bound fails: t^2*z has 8.0 at rho = 2, t^2 has 4.0, z 1.0
+    spec = BaseSpec("entire", ScaleAut(q))
+    f, g = LaurentOrePoly(spec, f_terms), LaurentOrePoly(spec, g_terms)
+    big = math.sqrt(max(q.abs2(), 1 / q.abs2())) * lam
+    lhs = quotient_norm(ore_mul(f, g), lam, rho)
+    bound = quotient_norm(f, big, rho) * quotient_norm(g, big, rho)
+    assert lhs <= bound * (1 + 1e-9)
 
 
 # -- localizability probe ----------------------------------------------------
