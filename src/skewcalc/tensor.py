@@ -8,9 +8,10 @@ coefficient by the winding of the left word:
     (fg)_w = sum over w1 w2 = w of f_{w1} * alpha^{c(w1)}(g_{w2}).
 
 Truncation caps (max word length L, max base degree D) are explicit;
-products that overflow them drop terms and set the ``truncated`` flag
-instead of raising.  The public constructor checks every word and every
-term against the caps; results of arithmetic meet them already.
+sums and products that overflow them drop terms and set the
+``truncated`` flag instead of raising.  The public constructor checks
+every word and every term against the caps; results of arithmetic meet
+them already.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ class TwistedSeries(_TwistedMap):
 
     def _fits(self, w: Word, a) -> bool:
         return len(w) <= self.max_word_len and a.degree() <= self.max_degree
-
-    def _covers(self, other) -> bool:
-        return other.max_word_len <= self.max_word_len and other.max_degree <= self.max_degree
 
     def __mul__(self, other):
         return mul(self, other)

@@ -292,6 +292,25 @@ def test_localizability(capsys, scale2_cfg):
     assert "no negative certificate" in out
 
 
+PROBE_LINE = "lambda={}: forward growing (sup ratio {}), inverse {} (sup ratio {})\n"
+UNCERTIFIED = "  family not certified bounded at this seminorm (no negative certificate implied)\n"
+
+
+@pytest.mark.parametrize("argv, lam, forward, inverse", [
+    # lambda^m overflowed, though the ratio is 2^8 = 256
+    (["--lambda", "1e300"], "1e+300", "256", ("bounded", "1")),
+    # monomials whose seminorm underflowed to 0.0 were dropped: sup ratio 1
+    (["--lambda", "1e-400"], "0.0", "256", ("bounded", "1")),
+    (["--depth", "600"], "1.0", "4.14952e+180", ("bounded", "1")),
+    # 2^41 - 1 words: the probe builds none of them
+    (["--config", str(BENCH_CONFIGS / "free.cfg"), "--depth", "40"], "1.0", "1.09951e+12",
+     ("growing", "1.09951e+12")),
+])
+def test_localizability_sup_ratio_closed_form(capsys, argv, lam, forward, inverse):
+    expected = PROBE_LINE.format(lam, forward, *inverse) + UNCERTIFIED
+    assert run(capsys, ["localizability", *argv]) == (0, expected, "")
+
+
 def test_vanishing_underflow_is_not_a_certificate(capsys):
     # q = 2, r = 1: every per-word seminorm is 1; only rho^(2k) underflows
     argv = ["--rho", "1e-200", "vanishing", "--r", "1", "--depth", "4"]
@@ -436,9 +455,9 @@ def test_benchmark_free_config(capsys):
     # each per-word seminorm is computed once per lambda, not once per rho
     ("twisted_seminorm", ["vanishing", "--r", "z", "--lambda-grid", "1,2",
                           "--rho-grid", "1,2,3", "--depth", "6"], 2 * 6),
-    # each monomial's seminorm is computed once for both directions:
-    # 5 monomials, their 5 images forward and their 5 images backward
-    ("seminorm", ["localizability", "--depth", "4"], 5 + 5 + 5),
+    # the probe reads alpha's parameters and computes no seminorm, at any depth
+    ("seminorm", ["localizability", "--depth", "4"], 0),
+    ("seminorm", ["localizability", "--depth", "40"], 0),
 ])
 def test_read_path_seminorm_calls(capsys, monkeypatch, interval_cfg, method, argv, calls):
     original = getattr(BaseSpec, method)
@@ -535,7 +554,10 @@ def test_float_overflow_prints_no_inf(capsys):
     for argv in (["norm", "z*x1", *big], ["qnorm", "z*x1", *big], ["norm", "z^7*x1", *big],
                  ["table", "z*x1", "--rho-grid", "1e300", "--lambda", "1e300"],
                  ["table", "z*x1", "--lambda-grid", "1,1e400"],
-                 ["localizability", "--lambda", "1e300"],
+                 ["localizability", "--depth", "2000"],
+                 # a shift by 1 at half-width 1e-400 grows by about 1e400 per degree
+                 ["--config", str(BENCH_CONFIGS / "interval.cfg"), "localizability",
+                  "--lambda", "1e-400"],
                  ["vanishing", "--r", "z", "--format", "csv", *big]):
         assert run(capsys, argv) == (2, "", OVERFLOW), argv
 

@@ -204,11 +204,3 @@ def test_series_results_keep_truncated_flag(scale2_spec):
     for r in (-cut, cut.scale(3), cut + x1, x1 + cut, cut - cut):
         assert r.truncated
         assert_clean_series(r)
-
-
-def test_series_sum_checks_the_caps_of_a_wider_operand(scale2_spec):
-    narrow = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), max_word_len=2, max_degree=8)
-    wide = TwistedSeries(scale2_spec, {(1, 1, 1): scale2_spec.one()}, max_word_len=4, max_degree=8)
-    with pytest.raises(ValueError):
-        narrow + wide
-    assert (wide + narrow).terms.keys() == {(1,), (1, 1, 1)}

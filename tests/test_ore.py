@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from skewcalc import (
     ore_mul,
     quotient_norm,
 )
-from skewcalc.bases import DiagonalAut, MismatchedBaseError, ScaleAut, ShiftAut
+from skewcalc.bases import DiagonalAut, IdentityAut, MismatchedBaseError, ScaleAut, ShiftAut
 
 from conftest import q_of, rand_entire
 
@@ -152,8 +153,43 @@ def test_probe_verdicts_are_exact(spec, lam, verdicts):
     (report,) = localizability_probe(spec, [lam], 8 if spec.kind != "free" else 3)
     assert (report.forward.verdict, report.backward.verdict) == verdicts
     assert report.family_bounded == (verdicts == ("bounded", "bounded"))
-    # the sup ratio is still measured: 1 for the identity, and never below 1
+    # the sup ratio is max(1, g)^depth: 1 for the identity, and never below 1
     assert min(report.forward.sup_ratio, report.backward.sup_ratio) >= 1.0
+
+
+def _measured_sup_ratio(spec, lam, depth, direction):
+    """sup ||alpha^direction e|| / ||e|| over every basis monomial e of degree <= depth."""
+    if spec.kind == "free":
+        keys = [v for n in range(depth + 1) for v in itertools.product(range(spec.ngens), repeat=n)]
+    else:
+        keys = range(depth + 1)
+    return max(spec.seminorm(spec.aut.apply(e, direction), lam) / spec.seminorm(e, lam)
+               for e in (spec.monomial(1, k) for k in keys))
+
+
+REFERENCE_SPECS = [
+    *(BaseSpec("entire", ScaleAut(q)) for q in
+      (q_of(2), q_of("1/2"), GaussianRational(1, 1),
+       GaussianRational(Fraction(3, 5), Fraction(4, 5)))),
+    BaseSpec("entire", IdentityAut()),
+    *(BaseSpec(kind, ShiftAut(s)) for kind in ("entire", "interval")
+      for s in (Fraction(1), Fraction(-1, 3))),
+    BaseSpec("interval", IdentityAut()),
+    BaseSpec("free", DiagonalAut((Fraction(3, 2), Fraction(1, 3), GaussianRational(1, 1))), 3),
+    BaseSpec("free", IdentityAut(), 3),
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_probe_ratio_matches_the_basis_measurement(spec):
+    # the probe's closed form max(1, g)^depth against the sup over the basis
+    for lam in (Fraction(1, 3), Fraction(1), Fraction(5, 2)):
+        for depth in range(1, (3 if spec.kind == "free" else 6) + 1):
+            (report,) = localizability_probe(spec, [lam], depth)
+            for direction, got in ((1, report.forward), (-1, report.backward)):
+                measured = _measured_sup_ratio(spec, lam, depth, direction)
+                assert got.sup_ratio == pytest.approx(measured, rel=1e-12), (lam, depth)
+                assert got.verdict == ("growing" if measured > 1 else "bounded")
 
 
 def test_probe_rejects_bad_cap(scale2_spec):

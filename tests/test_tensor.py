@@ -47,6 +47,21 @@ def test_mul_sets_truncated_flag(scale2_spec):
     assert twisted_norm(ok, 1, 1.0) == (1.0, Exactness.EXACT)
 
 
+def test_sum_drops_terms_beyond_the_left_caps(scale2_spec):
+    # the sum follows the product's rule: it keeps a's caps, and a term of
+    # b beyond them is dropped with the flag set instead of raising
+    a = TwistedSeries.term(scale2_spec, EntirePoly({1: 1}), (2,), max_word_len=2)
+    b = TwistedSeries(scale2_spec, {(1, 1, 1): EntirePoly.one(), (2,): EntirePoly.one()},
+                      max_word_len=8)
+    total = a + b
+    assert (total.max_word_len, total.max_degree) == (2, a.max_degree)
+    assert total.terms == {(2,): EntirePoly({1: 1, 0: 1})}
+    assert total.truncated
+    # b's wider caps hold a's terms
+    assert (b + a).terms.keys() == {(1, 1, 1), (2,)}
+    assert not (b + a).truncated
+
+
 def test_word_validation(scale2_spec):
     with pytest.raises(ValueError):
         TwistedSeries(scale2_spec, {(3,): EntirePoly.one()})
