@@ -340,14 +340,12 @@ def _poly_deriv(dense: list) -> list:
 
 
 def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    """Dense quotient and remainder of a by b; b's leading coefficient is nonzero.
+    """Dense quotient and remainder of a by b; a's and b's leading coefficients are nonzero.
 
     The remainder carries no trailing zeros, so the zero remainder is [].
     """
     quotient = [Fraction(0)] * (len(a) - len(b) + 1)
     a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
     while len(a) >= len(b):
         factor = a[-1] / b[-1]
         shift = len(a) - len(b)
@@ -381,39 +379,21 @@ def _sign_changes(chain: list, x: Fraction) -> tuple[int, Fraction]:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b), values[0]
 
 
-def _refine(s: list, a: Fraction, b: Fraction, sb: Fraction) -> Fraction:
-    """The midpoint of the cell at most _ROOT_WIDTH wide around s's one root in (a, b].
-
-    sb is s(b).  The root is simple, so s changes sign there: it lies in
-    (mid, b] iff s(b) = 0 or s(mid) s(b) < 0, and in (a, mid] otherwise.
-    These are the halves the Sturm counts would pick, at one evaluation of
-    s per level instead of the whole chain.
-    """
-    while b - a > _ROOT_WIDTH:
-        mid = (a + b) / 2
-        sm = _poly_eval(s, mid)
-        if not sb or sm < 0 < sb or sb < 0 < sm:
-            a = mid
-        else:
-            b, sb = mid, sm
-    return (a + b) / 2
-
-
 def interval_seminorm(f: IntervalPoly, window) -> float:
     """sup of |f| over the closed window (lo, hi), or 0 over None (empty).
 
     |f| is evaluated at the endpoints and at f's critical points, the
     distinct real roots of f' in the window.  Counts V of a Sturm chain
     whose first member s = chain[0] is the squarefree part of f' isolate
-    them: V(a) - V(b) roots lie in a cell (a, b], and a cell with two or
-    more is bisected.  One stack holds the cells (a, V(a), b, V(b), s(b)),
-    so each count is computed once and a split point's count serves both
-    halves.  A cell holding one root is then refined by the sign of s alone
-    (:func:`_refine`) down to a cell at most _ROOT_WIDTH wide, whose
-    midpoint is the candidate; so is a cell of that width that still holds
-    several.  Both ends are made Fractions first, so the bisection stays
-    exact when a caller passes ints.  An inverted window (lo > hi) raises
-    ValueError.
+    them: V(a) - V(b) roots lie in a cell (a, b].  One stack holds the
+    cells (a, V(a), b, V(b), s(b)) and bisects each down to a cell at most
+    _ROOT_WIDTH wide, whose midpoint is the candidate.  A cell with two or
+    more roots splits on the count at its midpoint, which serves both
+    halves.  A cell with one root keeps the half where s changes sign, at
+    one evaluation of s: (mid, b] iff s(b) = 0 or s(mid) s(b) < 0, the half
+    the counts would pick, since the root is simple.  Both ends are made
+    Fractions first, so the bisection stays exact when a caller passes
+    ints.  An inverted window (lo > hi) raises ValueError.
     """
     if window is None:
         return 0.0
@@ -428,15 +408,20 @@ def interval_seminorm(f: IntervalPoly, window) -> float:
         stack = [(lo, v_lo, hi, *_sign_changes(chain, hi))]
         while stack:
             a, va, b, vb, sb = stack.pop()
-            if va - vb == 1:
-                candidates.append(_refine(chain[0], a, b, sb))
-            elif va != vb:
-                mid = (a + b) / 2
-                if b - a <= _ROOT_WIDTH:
-                    candidates.append(mid)
+            if va == vb:
+                continue
+            mid = (a + b) / 2
+            if b - a <= _ROOT_WIDTH:
+                candidates.append(mid)
+            elif va - vb == 1:
+                sm = _poly_eval(chain[0], mid)
+                if not sb or sm < 0 < sb or sb < 0 < sm:
+                    stack.append((mid, 1, b, 0, sb))
                 else:
-                    vm, sm = _sign_changes(chain, mid)
-                    stack += [(a, va, mid, vm, sm), (mid, vm, b, vb, sb)]
+                    stack.append((a, 1, mid, 0, sm))
+            else:
+                vm, sm = _sign_changes(chain, mid)
+                stack += [(a, va, mid, vm, sm), (mid, vm, b, vb, sb)]
     return float(max(abs(_poly_eval(dense, x)) for x in candidates))
 
 

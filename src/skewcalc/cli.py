@@ -43,7 +43,7 @@ from .quotient import (
     reduce_to_ore,
     vanishing_test,
 )
-from .tensor import TwistedSeries, twisted_norm
+from .tensor import DEFAULT_MAX_DEGREE, DEFAULT_MAX_WORD_LEN, TwistedSeries, twisted_norm
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ def _build_config(values: dict) -> SessionConfig:
             raise ConfigError(f"unknown automorphism {aut_name!r}")
         spec = BaseSpec(base, aut, ngens)
         caps = {}
-        for key, name, default in (("L", "max_word_len", 16), ("D", "max_degree", 32)):
+        for key, name, default in (("L", "max_word_len", DEFAULT_MAX_WORD_LEN),
+                                   ("D", "max_degree", DEFAULT_MAX_DEGREE)):
             caps[name] = int(values.get(key, default))
             if caps[name] < 0:
                 raise ConfigError(f"{key} must be nonnegative, got {caps[name]}")

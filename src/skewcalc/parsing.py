@@ -242,8 +242,10 @@ def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None):
     if uses_t:
         ring = _Ring(spec, lambda a, i: LaurentOrePoly.term(spec, a, i), 0, {"t": 1})
     else:
-        ring = _Ring(spec, lambda a, w: TwistedSeries.term(spec, a, w, **caps), (),
-                     {"x1": (1,), "x2": (2,)})
+        # an atom beyond the caps drops through a sum, flagged; one that fits skips the sum's cost
+        zero = TwistedSeries.zero(spec, **caps)
+        ring = _Ring(spec, lambda a, w: TwistedSeries.term(spec, a, w, **caps) if zero._fits(w, a)
+                     else zero + TwistedSeries.term(spec, a, w), (), {"x1": (1,), "x2": (2,)})
     return _Parser(tokens, ring).parse()
 
 

@@ -22,8 +22,8 @@ from .bases import BaseSpec, Exactness
 from .ore import _TwistedMap
 from .words import Word, check_word, winding
 
-DEFAULT_MAX_WORD_LEN = 24
-DEFAULT_MAX_DEGREE = 64
+DEFAULT_MAX_WORD_LEN = 16
+DEFAULT_MAX_DEGREE = 32
 
 
 def word_sort_key(w: Word):

@@ -196,6 +196,23 @@ def test_truncated_input_is_reported(capsys):
     assert (code, out.strip(), err) == (0, "1.0 (exact)", "")
 
 
+def test_atom_beyond_the_caps_is_dropped(capsys, tmp_path):
+    # an atom beyond the caps drops with the flag set, as a product's term does
+    path = tmp_path / "caps.cfg"
+    path.write_text("L = 0\n")
+    cfg = ["--config", str(path)]
+    code, out, err = run(capsys, cfg + ["norm", "x1"])
+    assert (code, out) == (0, "0.0 (truncated)\n")
+    assert "warning: terms beyond the caps were dropped" in err
+    code, out, _ = run(capsys, cfg + ["table", "x1"])
+    assert (code, out.splitlines()[1:]) == (0, ["1.0,1.0,0.0,truncated"])
+    code, out, err = run(capsys, cfg + ["mul", "x1", "x2"])
+    assert (code, out) == (2, "")
+    assert "terms beyond the caps L = 0 and D = 32 were dropped" in err
+    path.write_text("D = 0\n")
+    assert run(capsys, cfg + ["norm", "z"])[:2] == (0, "0.0 (truncated)\n")
+
+
 def test_quotient_commands_read_the_ore_picture(capsys):
     # the quotient depends only on the class: z*t is the class of z*x1
     for argv in (["qnorm", "{}", "--rho", "3/2"], ["reduce", "{}", "--rho", "3/2"],

@@ -164,6 +164,12 @@ def test_power_beyond_caps_is_truncated(scale2_spec):
     assert huge.is_zero() and huge.truncated
 
 
+def test_default_caps_are_the_cli_defaults(scale2_spec):
+    # L = 16 and D = 32, for a library caller as for the CLI
+    assert not parse_expr("x1^16", scale2_spec).truncated
+    assert parse_expr("x1^17", scale2_spec).truncated
+
+
 def test_parse_scalar_literals():
     assert parse_scalar("3/2") == GaussianRational(Fraction(3, 2))
     assert parse_scalar("1+1i") == GaussianRational(Fraction(1), Fraction(1))
