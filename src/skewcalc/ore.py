@@ -26,10 +26,12 @@ class _TwistedMap:
 
     Each kind is a frozen slotted dataclass that declares its key type
     (``_key``), the key of 1 (``_unit``) and the twist of a key
-    (``_twist``); a kind with caps overrides ``_fits``.
+    (``_twist``); a kind with caps names their fields in ``_caps`` and
+    overrides ``_fits``.
     """
 
     __slots__ = ()
+    _caps = ()
 
     def __post_init__(self):
         cleaned = {}
@@ -43,10 +45,11 @@ class _TwistedMap:
         _setattr(self, "terms", cleaned)
 
     def _derived(self, terms: dict, truncated: bool):
-        """This map's kind and fields with other terms, skipping
+        """This map's kind, spec and caps with other terms, skipping
         ``__post_init__``: each key is checked and each term fits."""
         out = _new(type(self))
-        for name in self.__slots__:
+        _setattr(out, "spec", self.spec)
+        for name in self._caps:
             _setattr(out, name, getattr(self, name))
         _setattr(out, "terms", {k: a for k, a in terms.items() if a.coeffs})
         _setattr(out, "truncated", truncated)
@@ -94,22 +97,35 @@ class _TwistedMap:
     def scale(self, c):
         return self._derived({k: a.scale(c) for k, a in self.terms.items()}, self.truncated)
 
-    def _product(self, other):
-        """The twisted product; a term that does not fit is dropped, setting the flag."""
+    def _row(self, k1, a, terms: dict, out: dict) -> bool:
+        """Add the term a at k1 times each term b at k2 of terms into out:
+        a * alpha^{twist(k1)}(b) at k1 + k2, the rule x a = alpha(a) x.
+
+        A product beyond the caps is dropped; the result says whether a
+        nonzero one was (a zero coefficient never sets the flag).
+        """
         apply = self.spec.aut.apply
         fits = self._fits
+        twist = self._twist(k1)
+        dropped = False
+        for k2, b in terms.items():
+            k = k1 + k2
+            term = a * apply(b, twist)
+            if not fits(k, term):
+                if term.coeffs:
+                    dropped = True
+                continue
+            out[k] = out[k] + term if k in out else term
+        return dropped
+
+    def _product(self, other):
+        """The twisted product; a term that does not fit is dropped, setting the flag."""
+        row = self._row
         out: dict = {}
         truncated = self.truncated or other.truncated
         for k1, a in self.terms.items():
-            twist = self._twist(k1)
-            for k2, b in other.terms.items():
-                k = k1 + k2
-                term = a * apply(b, twist)
-                if not fits(k, term):
-                    if term.coeffs:
-                        truncated = True
-                    continue
-                out[k] = out[k] + term if k in out else term
+            if row(k1, a, other.terms, out):
+                truncated = True
         return self._derived(out, truncated)
 
     def __eq__(self, other):

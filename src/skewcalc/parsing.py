@@ -8,11 +8,18 @@ free generators ``g1``, ``g2``, ..., the series generators ``x1``/``x2``,
 the skew variable ``t``, or a parenthesized subexpression.  Only ``t``
 may carry a negative exponent.
 
+A term such as ``3/2*z^2*x1*x2`` is held as one coefficient and one key
+(a word, or an exponent of t): (a at k1)(b at k2) is the term
+a alpha^{twist(k1)}(b) at k1 + k2, by the twisted map's own pair rule.
+A term becomes a series or a skew Laurent polynomial only where a sum, a
+factor with several terms or the end of the input needs one.
+
 Config files are flat ``key = value`` lines with exact rational literals.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -35,7 +42,7 @@ class _RingError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?i?)|(?P<ident>[A-Za-z]\w*)"
+    r"\s*(?:(?P<number>(?P<num>\d+)(?:/(?P<den>\d+))?(?P<imag>i)?)|(?P<ident>[A-Za-z]\w*)"
     r"|(?P<op>[()+\-*^]))"
 )
 
@@ -53,12 +60,11 @@ def _tokenize(source: str):
             raise ParseError(f"unexpected character {stripped[0]!r}", 1, column)
         pos = match.end()
         if match.lastgroup == "number":
-            text = match.group("number")
-            imag = text.endswith("i")
+            num, den, imag = match.group("num", "den", "imag")
             try:
-                value = Fraction(text[:-1] if imag else text)
+                value = Fraction(int(num), int(den) if den else 1)
             except ZeroDivisionError:
-                message = f"zero denominator in {text!r}"
+                message = f"zero denominator in {match.group('number')!r}"
                 raise ParseError(message, 1, match.start("number") + 1) from None
             kind = "imag" if imag else "number"
         else:
@@ -70,7 +76,7 @@ def _tokenize(source: str):
 
 
 class _Parser:
-    """Recursive-descent parser evaluating directly in the target ring."""
+    """Recursive-descent parser; the ring's methods do the arithmetic on its values."""
 
     def __init__(self, tokens, ring):
         self.tokens = tokens
@@ -109,7 +115,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                value = value - rhs if text == "-" else value + rhs
+                value = self.ring.add(value, self.ring.neg(rhs) if text == "-" else rhs)
             else:
                 return value
 
@@ -119,9 +125,9 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
-                value = value * self.factor()
+                value = self.ring.mul(value, self.factor())
             elif kind in ("number", "imag", "ident") or (kind == "op" and text == "("):
-                value = value * self.factor()
+                value = self.ring.mul(value, self.factor())
             else:
                 return value
 
@@ -131,7 +137,7 @@ class _Parser:
         if kind == "op" and text in "+-":
             self.advance()
             value = self.factor()
-            return -value if text == "-" else value
+            return self.ring.neg(value) if text == "-" else value
         return self.power()
 
     def power(self):
@@ -180,28 +186,51 @@ class _Parser:
 class _Ring:
     """The ring an expression evaluates in: twisted series or the Ore picture.
 
-    ``make(a, key)`` is the element with the single coefficient a at key,
-    ``unit`` is the key of 1 and ``gens`` maps generator names to keys.
+    A value is a term, the pair (key, coefficient), or a twisted map of
+    ``zero``'s kind and caps, which ``lift`` makes of a term.  A term beyond
+    the caps is a zero map flagged ``truncated``, as a product drops one.
+    ``gens`` maps generator names to keys.
     """
 
-    def __init__(self, spec: BaseSpec, make, unit, gens: dict):
+    def __init__(self, spec: BaseSpec, zero, gens: dict):
         self.spec = spec
-        self.make = make
-        self.unit = unit
+        self.zero = zero
         self.gens = gens
+
+    def term(self, a, key=None):
+        key = self.zero._unit if key is None else key
+        if self.zero._fits(key, a):
+            return key, a
+        return self.zero._derived({}, bool(a.coeffs))
+
+    def lift(self, value):
+        return self.zero._derived(dict([value]), False) if type(value) is tuple else value
+
+    def add(self, x, y):
+        return self.lift(x) + self.lift(y)
+
+    def neg(self, x):
+        return (x[0], -x[1]) if type(x) is tuple else -x
+
+    def mul(self, x, y):
+        if type(x) is tuple and type(y) is tuple:
+            out = {}
+            dropped = self.zero._row(*x, dict([y]), out)
+            return next(iter(out.items())) if out else self.zero._derived({}, dropped)
+        return self.lift(x)._product(self.lift(y))
 
     def scalar(self, c: GaussianRational):
         if self.spec.kind == "interval":
             if c.im:
                 raise _RingError("complex scalars are not allowed on the interval base")
             c = c.re
-        return self.make(self.spec.monomial(c), self.unit)
+        return self.term(self.spec.monomial(c))
 
     def atom(self, name: str):
         if name in self.gens:
-            return self.make(self.spec.one(), self.gens[name])
+            return self.term(self.spec.one(), self.gens[name])
         if name == "z" and self.spec.kind in ("entire", "interval"):
-            return self.make(self.spec.monomial(1, 1), self.unit)
+            return self.term(self.spec.monomial(1, 1))
         if name == "i":
             return self.scalar(GaussianRational(Fraction(0), Fraction(1)))
         match = re.fullmatch(r"g(\d+)", name)
@@ -209,23 +238,48 @@ class _Ring:
             index = int(match.group(1)) - 1
             if not 0 <= index < self.spec.ngens:
                 raise KeyError(name)
-            return self.make(self.spec.monomial(1, (index,)), self.unit)
+            return self.term(self.spec.monomial(1, (index,)))
         raise KeyError(name)
 
     def power(self, value, exponent: int):
         if exponent < 0:
-            if "t" not in self.gens or value != self.atom("t"):
+            if "t" not in self.gens or self.lift(value) != self.lift(self.atom("t")):
                 raise _RingError("negative exponents are only allowed on t")
-            return self.make(self.spec.one(), exponent)
-        # square and multiply from the low bit; no squaring after the top bit
-        result = self.make(self.spec.one(), self.unit)
+            return self.term(self.spec.one(), exponent)
+        if not exponent:
+            return self.term(self.spec.one())
+        # square and multiply from the low bit, starting from the first
+        # factor; no squaring after the top bit
+        result = None
         while True:
             if exponent & 1:
-                result = result * value
+                result = value if result is None else self.mul(result, value)
             exponent >>= 1
             if not exponent:
                 return result
-            value = value * value
+            value = self.mul(value, value)
+
+
+class _ScalarRing:
+    """Exact scalars, the ring of :func:`parse_scalar`: i is the only atom."""
+
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    power = staticmethod(operator.pow)
+
+    @staticmethod
+    def scalar(c):
+        return c
+
+    @staticmethod
+    def atom(name):
+        if name == "i":
+            return GaussianRational(Fraction(0), Fraction(1))
+        raise KeyError(name)
+
+
+_SCALARS = _ScalarRing()
 
 
 def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None):
@@ -240,32 +294,15 @@ def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None):
         if is_t != uses_t:
             raise ParseError("an expression cannot mix t with x1/x2", 1, pos + 1)
     if uses_t:
-        ring = _Ring(spec, lambda a, i: LaurentOrePoly.term(spec, a, i), 0, {"t": 1})
+        ring = _Ring(spec, LaurentOrePoly.zero(spec), {"t": 1})
     else:
-        # an atom beyond the caps drops through a sum, flagged; one that fits skips the sum's cost
-        zero = TwistedSeries.zero(spec, **caps)
-        ring = _Ring(spec, lambda a, w: TwistedSeries.term(spec, a, w, **caps) if zero._fits(w, a)
-                     else zero + TwistedSeries.term(spec, a, w), (), {"x1": (1,), "x2": (2,)})
-    return _Parser(tokens, ring).parse()
+        ring = _Ring(spec, TwistedSeries.zero(spec, **caps), {"x1": (1,), "x2": (2,)})
+    return ring.lift(_Parser(tokens, ring).parse())
 
 
 def parse_scalar(text: str) -> GaussianRational:
     """Exact scalar literal: '2', '3/2', '1+1i', '-2i'."""
-    tokens = _tokenize(text)
-
-    class _ScalarRing:
-        def scalar(self, c):
-            return c
-
-        def atom(self, name):
-            if name == "i":
-                return GaussianRational(Fraction(0), Fraction(1))
-            raise KeyError(name)
-
-        def power(self, value, exponent):
-            return value**exponent
-
-    return GaussianRational.of(_Parser(tokens, _ScalarRing()).parse())
+    return GaussianRational.of(_Parser(_tokenize(text), _SCALARS).parse())
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ class TwistedSeries(_TwistedMap):
 
     _key = staticmethod(check_word)
     _unit = ()
+    _caps = ("max_word_len", "max_degree")
     _twist = staticmethod(winding)
 
     def _fits(self, w: Word, a) -> bool:

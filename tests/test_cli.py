@@ -213,6 +213,19 @@ def test_atom_beyond_the_caps_is_dropped(capsys, tmp_path):
     assert run(capsys, cfg + ["norm", "z"])[:2] == (0, "0.0 (truncated)\n")
 
 
+def test_one_term_products_under_the_caps(capsys, tmp_path):
+    # a product of atoms beyond the caps drops with the flag set, as a
+    # product's term does; a zero coefficient never sets the flag
+    for source in ("0*x1^17", "x1^17*0", "x1^8*x1^9", "z^33*x1"):
+        assert run(capsys, ["norm", source])[:2] == (0, "0.0 (truncated)\n"), source
+    assert run(capsys, ["norm", "0*" + "*".join(["x1"] * 17)])[:2] == (0, "0.0 (exact)\n")
+    assert run(capsys, ["norm", "(x1 + 1)^17"])[:2] == (0, "131071.0 (truncated)\n")
+    path = tmp_path / "shift.cfg"
+    path.write_text(SHIFT_CFG)
+    code, out, _ = run(capsys, ["--config", str(path), "to-ore", "x1*z^3*x2*z"])
+    assert (code, out) == (0, "z^4 - 3*z^3 + 3*z^2 - z\n")
+
+
 def test_quotient_commands_read_the_ore_picture(capsys):
     # the quotient depends only on the class: z*t is the class of z*x1
     for argv in (["qnorm", "{}", "--rho", "3/2"], ["reduce", "{}", "--rho", "3/2"],

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,17 +8,22 @@ from hypothesis import given, settings, strategies as st
 from skewcalc import (
     BaseSpec,
     ConfigError,
+    DiagonalAut,
     EntirePoly,
     GaussianRational,
     LaurentOrePoly,
     ParseError,
     ScaleAut,
+    ShiftAut,
     TwistedSeries,
     format_element,
+    mul,
+    ore_mul,
     parse_config_text,
     parse_expr,
     parse_scalar,
 )
+from skewcalc.parsing import _Parser, _tokenize
 
 from conftest import rand_series
 
@@ -122,18 +129,21 @@ def test_sign_applies_to_the_factor_after_it(scale2_spec):
     assert parse_scalar("-2^2") == GaussianRational(-4)
 
 
-_ATOMS = st.sampled_from(["2", "3/2", "i", "z", "z^3", "x1", "x2", "x1^2"])
-_EXPRESSIONS = st.recursive(
-    _ATOMS,
-    lambda inner: st.one_of(
-        st.builds("{}{}{}".format, inner,
-                  st.sampled_from([" + ", " - ", "*", " ", "*-", " - -", "*+"]), inner),
-        st.builds("-{}".format, inner),
-        st.builds("({})".format, inner),
-        st.builds("({})^{}".format, inner, st.integers(0, 3)),
-    ),
-    max_leaves=6,
-)
+def _expressions(atoms):
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.builds("{}{}{}".format, inner,
+                      st.sampled_from([" + ", " - ", "*", " ", "*-", " - -", "*+"]), inner),
+            st.builds("-{}".format, inner),
+            st.builds("({})".format, inner),
+            st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        ),
+        max_leaves=6,
+    )
+
+
+_EXPRESSIONS = _expressions(["2", "3/2", "i", "z", "z^3", "x1", "x2", "x1^2"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,6 +178,80 @@ def test_default_caps_are_the_cli_defaults(scale2_spec):
     # L = 16 and D = 32, for a library caller as for the CLI
     assert not parse_expr("x1^16", scale2_spec).truncated
     assert parse_expr("x1^17", scale2_spec).truncated
+
+
+class _ReferenceRing:
+    """A reference for parse_expr's values and flag: every atom a full series
+    or Ore polynomial, every product mul or ore_mul, and every power square
+    and multiply from a fresh 1."""
+
+    def __init__(self, spec, caps, ore):
+        self.spec = spec
+        self.zero = LaurentOrePoly.zero(spec) if ore else TwistedSeries.zero(spec, **caps)
+        self.gens = {"t": 1} if ore else {"x1": (1,), "x2": (2,)}
+        self.mul = ore_mul if ore else mul
+
+    def make(self, a, key=None):
+        # an atom beyond the caps drops through the sum, flagged
+        return self.zero + type(self.zero).term(self.spec, a, key)
+
+    def add(self, x, y):
+        return x + y
+
+    def neg(self, x):
+        return -x
+
+    def scalar(self, c):
+        return self.make(self.spec.monomial(c.re if self.spec.kind == "interval" else c))
+
+    def atom(self, name):
+        if name in self.gens:
+            return self.make(self.spec.one(), self.gens[name])
+        if name == "z":
+            return self.make(self.spec.monomial(1, 1))
+        if name == "i":
+            return self.scalar(GaussianRational(0, 1))
+        return self.make(self.spec.monomial(1, (int(re.fullmatch(r"g(\d)", name)[1]) - 1,)))
+
+    def power(self, value, exponent):
+        if exponent < 0:
+            assert value == self.atom("t")
+            return self.make(self.spec.one(), exponent)
+        result = self.make(self.spec.one())
+        while True:
+            if exponent & 1:
+                result = self.mul(result, value)
+            exponent >>= 1
+            if not exponent:
+                return result
+            value = self.mul(value, value)
+
+
+_SERIES_ATOMS = ["0", "2", "3/2", "x1", "x2", "x1^2"]
+_PICTURES = {
+    "scale": (BaseSpec("entire", ScaleAut(2)), _SERIES_ATOMS + ["i", "z", "z^3"]),
+    "shift": (BaseSpec("entire", ShiftAut()), _SERIES_ATOMS + ["i", "z", "z^3"]),
+    "free_diagonal": (BaseSpec("free", DiagonalAut((2, Fraction(1, 2))), ngens=2),
+                      _SERIES_ATOMS + ["i", "g1", "g2", "g1^3"]),
+    "interval": (BaseSpec("interval", ShiftAut()), _SERIES_ATOMS + ["z", "z^3"]),
+    "ore": (BaseSpec("entire", ScaleAut(2)), ["0", "2", "3/2", "i", "z", "z^3", "t", "t^-1"]),
+}
+
+
+def _fields(value):
+    # every field, the flag and the caps too: __eq__ reads only the spec and the terms
+    return type(value), [getattr(value, f.name) for f in dataclasses.fields(value)]
+
+
+@pytest.mark.parametrize("picture", sorted(_PICTURES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_equals_the_reference_ring(picture, data):
+    spec, atoms = _PICTURES[picture]
+    source = data.draw(_expressions(atoms))
+    caps = dict(max_word_len=3, max_degree=4)  # small, so that the flag gets set
+    reference = _Parser(_tokenize(source), _ReferenceRing(spec, caps, "t" in source)).parse()
+    assert _fields(parse_expr(source, spec, caps)) == _fields(reference)
 
 
 def test_parse_scalar_literals():
