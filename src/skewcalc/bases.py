@@ -34,11 +34,12 @@ returned, tagged via :class:`Exactness`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _reduced
 from .words import Word, extremal_twists, interval, partial_sums
 
 
@@ -142,9 +143,15 @@ class SparseElement:
         if type(other) is not type(self):
             self._check_kind(other)
             return self.scale(other)
+        left, right = self.coeffs, other.coeffs
+        # a one-term operand needs no sums: k2 -> k1 + k2 is injective, and
+        # nonzero scalars have a nonzero product; the keys keep the loop's order
+        if len(left) == 1 or len(right) == 1:
+            return self._trusted({k1 + k2: c1 * c2 for k1, c1 in left.items()
+                                  for k2, c2 in right.items()})
         out: dict = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
                 k = k1 + k2
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
@@ -174,7 +181,12 @@ _set_coeffs = SparseElement.coeffs.__set__  # the slot, past the frozen __setatt
 
 
 class _Polynomial(SparseElement):
-    """Integer-keyed kinds: polynomials in z with non-negative degrees."""
+    """Integer-keyed kinds: polynomials in z with non-negative degrees.
+
+    Each kind reads a coefficient as an integer triple (a, b, d) for
+    (a + b i)/d (``_parts``) and builds one back from any triple with
+    d > 0 (``_from_parts``).
+    """
 
     __slots__ = ()
 
@@ -187,31 +199,63 @@ class _Polynomial(SparseElement):
         return max(self.coeffs, default=0)
 
     def shift_argument(self, s: Fraction):
-        """Exact substitution z -> z - s, as a Taylor shift by Horner's scheme.
+        """Exact substitution z -> z - s, as an integer Taylor shift.
 
-        With t = -s in the kind's own scalar field, n passes of synthetic
-        division ``a[j] += t * a[j + 1]`` (j = n-1 .. i on pass i) turn the
-        dense coefficients of f(z) into those of f(z + t), with no binomials
-        and no powers of s (von zur Gathen & Gerhard, "Fast algorithms for
-        Taylor shifts and certain difference equations", ISSAC 1997).
+        Over one common denominator den, f = sum N_j z^j / den with Gaussian
+        integer numerators N_j, and -s = u/v gives
+        f(z + u/v) = sum_k P_k z^k / (den v^(n-k)), where P is the Taylor
+        shift by the integer u of the integers N_j v^(n-j)
+        (:func:`_taylor_shift`, on the real and imaginary numerators apart,
+        since u is real).  Each output coefficient is normalized once.
         """
-        t = self._scalar(-Fraction(s))
         n = self.degree()
-        a = [self.coeffs.get(j) for j in range(n + 1)]  # None marks an empty slot
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                c = a[j + 1]
-                if c:
-                    c = t * c
-                    a[j] = c if a[j] is None else a[j] + c
+        if not n:
+            return self
+        u, v = Fraction(s).as_integer_ratio()
+        u = -u
+        parts = {j: self._parts(c) for j, c in self.coeffs.items()}
+        den = math.lcm(*(d for _, _, d in parts.values()))
+        vpow = [1]  # v^0 .. v^n
+        for _ in range(n):
+            vpow.append(vpow[-1] * v)
+        re, im = [0] * (n + 1), [0] * (n + 1)
+        for j, (a, b, d) in parts.items():
+            scale = den // d * vpow[n - j]
+            re[j], im[j] = a * scale, b * scale
+        _taylor_shift(re, u)
+        if any(im):
+            _taylor_shift(im, u)
+        make = self._from_parts
         # terms cancel across degrees, and s = 0 leaves every lower term zero
-        return self._trusted({j: c for j, c in enumerate(a) if c})
+        return self._trusted({k: make(a, b, den * vpow[n - k])
+                              for k, (a, b) in enumerate(zip(re, im)) if a or b})
+
+
+def _taylor_shift(a: list, u: int) -> None:
+    """Turn the dense integer coefficients of p(z) into those of p(z + u), in place.
+
+    n passes of synthetic division ``a[j] += u * a[j + 1]`` (j = n-1 .. i on
+    pass i), with no binomials and no powers of u (von zur Gathen & Gerhard,
+    "Fast algorithms for Taylor shifts and certain difference equations",
+    ISSAC 1997).
+    """
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c = a[j + 1]
+            if c:
+                a[j] += u * c
 
 
 class EntirePoly(_Polynomial):
     """Polynomial in z with exact Gaussian-rational coefficients."""
 
     __slots__ = ()
+    _from_parts = staticmethod(_reduced)
+
+    @staticmethod
+    def _parts(c):
+        return c._a, c._b, c._d
 
 
 class IntervalPoly(_Polynomial):
@@ -219,6 +263,14 @@ class IntervalPoly(_Polynomial):
 
     __slots__ = ()
     _scalar = Fraction
+
+    @staticmethod
+    def _parts(c):
+        return c.numerator, 0, c.denominator
+
+    @staticmethod
+    def _from_parts(a, b, d):
+        return Fraction(a, d)
 
     def evaluate(self, x: Fraction) -> Fraction:
         return _poly_eval(_dense(self), Fraction(x))
@@ -244,6 +296,28 @@ class FreeSeries(SparseElement):
 # ---------------------------------------------------------------------------
 
 
+# Powers of alpha's parameters are tabled for exponents |e| <= _POWER_SPAN,
+# L * D at the default caps: at most 2 * _POWER_SPAN + 1 entries, however
+# high the degrees and twists a config allows.
+_POWER_SPAN = 512
+
+
+class _Powers(dict):
+    """power(e) by int exponent e, computed on a miss; tabled for |e| <= _POWER_SPAN."""
+
+    __slots__ = ("power",)
+
+    def __init__(self, power):
+        super().__init__()
+        self.power = power
+
+    def __missing__(self, e):
+        value = self.power(e)
+        if -_POWER_SPAN <= e <= _POWER_SPAN:
+            self[e] = value
+        return value
+
+
 @dataclass(frozen=True)
 class IdentityAut:
     kind: ClassVar[str] = "identity"
@@ -254,7 +328,11 @@ class IdentityAut:
 
 @dataclass(frozen=True)
 class ScaleAut:
-    """z -> q z on coefficients of EntirePoly: c_m -> q^{km} c_m."""
+    """z -> q z on coefficients of EntirePoly: c_m -> q^{km} c_m.
+
+    q^e comes from a table keyed by e = km (:class:`_Powers`), which is no
+    field: equality, hash and repr read q alone.
+    """
 
     q: GaussianRational
     kind: ClassVar[str] = "scale"
@@ -264,6 +342,10 @@ class ScaleAut:
         if q.is_zero():
             raise ValueError("scaling parameter must be nonzero")
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_powers", _Powers(self._power))
+
+    def _power(self, e: int) -> GaussianRational:
+        return self.q ** e
 
     def apply(self, el: EntirePoly, k: int) -> EntirePoly:
         if k == 0:
@@ -271,8 +353,8 @@ class ScaleAut:
         if type(el) is not EntirePoly:
             # only EntirePoly has degrees for keys and Gaussian coefficients
             raise TypeError(f"the scaling automorphism acts on EntirePoly, not {type(el).__name__}")
-        q = self.q
-        return el._trusted({m: (q ** (k * m)) * c for m, c in el.coeffs.items()})
+        powers = self._powers
+        return el._trusted({m: powers[k * m] * c for m, c in el.coeffs.items()})
 
 
 @dataclass(frozen=True)
@@ -293,7 +375,10 @@ class ShiftAut:
 
 @dataclass(frozen=True)
 class DiagonalAut:
-    """Diagonal action on FreeSeries: generator i is scaled by qs[i]."""
+    """Diagonal action on FreeSeries: generator i is scaled by qs[i].
+
+    The factors q_i^k come from a table keyed by k, as in :class:`ScaleAut`.
+    """
 
     qs: tuple
     kind: ClassVar[str] = "diagonal"
@@ -303,11 +388,15 @@ class DiagonalAut:
         if any(q.is_zero() for q in qs):
             raise ValueError("diagonal factors must be nonzero")
         object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "_powers", _Powers(self._factors))
+
+    def _factors(self, k: int) -> tuple:
+        return tuple(q**k for q in self.qs)
 
     def apply(self, el: FreeSeries, k: int) -> FreeSeries:
         if k == 0:
             return el
-        qk = [q**k for q in self.qs]
+        qk = self._powers[k]
         out = {}
         for v, c in el.coeffs.items():
             for i in v:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .bases import BaseSpec
 from .ore import LaurentOrePoly
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _make
 from .tensor import TwistedSeries
 from .words import Word
 
@@ -162,10 +162,11 @@ class _Parser:
 
     def atom(self):
         kind, text, pos = self.advance()
+        # a token's Fraction is in lowest terms, so it is the scalar's triple
         if kind == "number":
-            return self.ring.scalar(GaussianRational(text))
+            return self.ring.scalar(_make(text.numerator, 0, text.denominator))
         if kind == "imag":
-            return self.ring_call(pos, self.ring.scalar, GaussianRational(Fraction(0), text))
+            return self.ring_call(pos, self.ring.scalar, _make(0, text.numerator, text.denominator))
         if kind == "ident":
             try:
                 return self.ring_call(pos, self.ring.atom, text)
@@ -189,13 +190,15 @@ class _Ring:
     A value is a term, the pair (key, coefficient), or a twisted map of
     ``zero``'s kind and caps, which ``lift`` makes of a term.  A term beyond
     the caps is a zero map flagged ``truncated``, as a product drops one.
-    ``gens`` maps generator names to keys.
+    ``gens`` maps generator names to keys.  An atom's term is built on its
+    first use and kept in ``atoms``: most expressions name some atom twice.
     """
 
     def __init__(self, spec: BaseSpec, zero, gens: dict):
         self.spec = spec
         self.zero = zero
         self.gens = gens
+        self.atoms = {}  # name -> term
 
     def term(self, a, key=None):
         key = self.zero._unit if key is None else key
@@ -224,15 +227,22 @@ class _Ring:
             if c.im:
                 raise _RingError("complex scalars are not allowed on the interval base")
             c = c.re
-        return self.term(self.spec.monomial(c))
+        element = self.spec.element_type
+        return self.term(element._trusted({element._key(): c} if c else {}))
 
     def atom(self, name: str):
+        value = self.atoms.get(name)
+        if value is None:
+            value = self.atoms[name] = self._atom(name)
+        return value
+
+    def _atom(self, name: str):
         if name in self.gens:
             return self.term(self.spec.one(), self.gens[name])
         if name == "z" and self.spec.kind in ("entire", "interval"):
             return self.term(self.spec.monomial(1, 1))
         if name == "i":
-            return self.scalar(GaussianRational(Fraction(0), Fraction(1)))
+            return self.scalar(_make(0, 1, 1))
         match = re.fullmatch(r"g(\d+)", name)
         if match and self.spec.kind == "free":
             index = int(match.group(1)) - 1
@@ -275,7 +285,7 @@ class _ScalarRing:
     @staticmethod
     def atom(name):
         if name == "i":
-            return GaussianRational(Fraction(0), Fraction(1))
+            return _make(0, 1, 1)
         raise KeyError(name)
 
 

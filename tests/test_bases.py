@@ -70,6 +70,72 @@ def test_interval_poly_keeps_rational_coefficients():
         assert all(type(c) is Fraction for c in result.coeffs.values())
 
 
+# Element products against a convolution written here: every pair of terms,
+# summed per key, zeros dropped.  The key order is the loop's (left term
+# first), which the one-term shortcut keeps: float seminorms sum in it.
+def ref_product(f, g):
+    out = {}
+    for k1, c1 in f.coeffs.items():
+        for k2, c2 in g.coeffs.items():
+            k = k1 + k2
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+product_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+gaussian = st.builds(GaussianRational, product_fractions, product_fractions)
+PRODUCT_KINDS = {
+    # kind: (its keys, its scalars, its key type, its scalar type)
+    EntirePoly: (st.integers(0, 6), gaussian, int, GaussianRational),
+    IntervalPoly: (st.integers(0, 6), product_fractions, int, Fraction),
+    FreeSeries: (st.lists(st.integers(0, 1), max_size=3).map(tuple), gaussian, tuple,
+                 GaussianRational),
+}
+
+
+def product_operand(kind, terms):
+    keys, scalars = PRODUCT_KINDS[kind][:2]
+    one = st.builds(lambda k, c: kind({k: c}), keys, scalars.filter(bool))
+    if terms == 1:
+        return one
+    many = st.dictionaries(keys, scalars, min_size=2, max_size=5).map(kind)
+    return many.filter(lambda el: len(el.coeffs) >= 2) if terms == 2 else st.one_of(one, many)
+
+
+def cancelling_pair(kind):
+    """(a e + b p)(c p - (b c / a) p p): the two products on p p cancel."""
+    keys, scalars = PRODUCT_KINDS[kind][:2]
+    unit = kind._key()
+    nonzero = scalars.filter(bool)
+
+    def build(p, a, b, c):
+        return kind({unit: a, p: b}), kind({p: c, p + p: -(b * c) / a})
+
+    return st.builds(build, keys.filter(lambda p: p != unit), nonzero, nonzero, nonzero)
+
+
+@pytest.mark.parametrize("kind", PRODUCT_KINDS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("shape", ("one_left", "one_right", "one_both", "multi", "cancel"))
+@given(data=st.data())
+def test_element_product_matches_reference_convolution(kind, shape, data):
+    terms = {"one_left": (1, None), "one_right": (None, 1), "one_both": (1, 1),
+             "multi": (2, 2)}
+    if shape == "cancel":
+        f, g = data.draw(cancelling_pair(kind))
+    else:
+        f, g = (data.draw(product_operand(kind, n)) for n in terms[shape])
+    product = f * g
+    expected = ref_product(f, g)
+    assert product.coeffs == expected
+    assert list(product.coeffs) == list(expected)
+    _, _, key_type, scalar_type = PRODUCT_KINDS[kind]
+    for k, c in product.coeffs.items():
+        assert type(k) is key_type
+        assert type(c) is scalar_type and c
+    if shape == "cancel":
+        assert len(product.coeffs) < len(f.coeffs) * len(g.coeffs)
+
+
 def test_free_series_concatenation():
     a = FreeSeries({(0,): 1})
     b = FreeSeries({(1,): 2})
@@ -118,6 +184,20 @@ def test_shift_argument_matches_binomial_expansion(kind, data):
     scalar_type = GaussianRational if kind is EntirePoly else Fraction
     for c in shifted.coeffs.values():
         assert type(c) is scalar_type and c
+
+
+@pytest.mark.parametrize("kind", (EntirePoly, IntervalPoly), ids=lambda k: k.__name__)
+@pytest.mark.parametrize("n", (64, 200))
+@pytest.mark.parametrize("s", (Fraction(1), Fraction(-1, 3), Fraction(5, 2)), ids=str)
+def test_shift_argument_matches_binomial_expansion_at_high_degree(kind, n, s):
+    # sparse inputs: the integer Taylor shift fills every lower degree
+    c = GaussianRational(Fraction(3, 2), Fraction(-1, 5)) if kind is EntirePoly else Fraction(3, 2)
+    scalar_type = GaussianRational if kind is EntirePoly else Fraction
+    for f in (kind({n: 1}), kind({n: c, 3: Fraction(-7, 4), 0: 2})):
+        shifted = f.shift_argument(s)
+        assert shifted == kind(ref_shift(f.coeffs, s))
+        assert list(shifted.coeffs) == sorted(shifted.coeffs)
+        assert all(type(c) is scalar_type and c for c in shifted.coeffs.values())
 
 
 # -- plain seminorms ---------------------------------------------------------
@@ -458,6 +538,51 @@ def test_diagonal_aut_isometric_for_unit_modulus():
     a = FreeSeries({(0, 1, 0): Fraction(5, 3)})
     for k in (-2, 1, 3):
         assert weighted_seminorm(spec.aut.apply(a, k), 2.0) == weighted_seminorm(a, 2.0)
+
+
+def test_power_tables_equal_direct_powers():
+    q = GaussianRational(Fraction(3, 2), Fraction(-1, 3))
+    scale = ScaleAut(q)
+    poly = EntirePoly({0: 2, 1: GaussianRational(1, 1), 3: Fraction(-1, 2), 7: 5})
+    qs = (q_of(2), GaussianRational(Fraction(1, 2), 1), q_of("-2/3"))
+    diagonal = DiagonalAut(qs)
+    series = FreeSeries({(): 1, (0,): 3, (1, 2): GaussianRational(0, 1),
+                         (2, 2, 0): Fraction(1, 3)})
+    for k in range(-6, 7):
+        expected = {}
+        for v, c in series.coeffs.items():
+            for i in v:
+                c = c * qs[i] ** k
+            expected[v] = c
+        for _ in range(2):  # a table miss, then a hit
+            assert scale.apply(poly, k).coeffs == {m: q ** (k * m) * c
+                                                   for m, c in poly.coeffs.items()}
+            assert diagonal.apply(series, k).coeffs == expected
+
+
+def test_power_tables_leave_equality_and_hash_alone():
+    for make, el in ((lambda: ScaleAut(q_of(2)), EntirePoly({5: 1, 2: 3})),
+                     (lambda: DiagonalAut((q_of(2), q_of("1/2"))), FreeSeries({(0, 1): 1}))):
+        filled, fresh = make(), make()
+        for k in (-3, 2, 5):
+            filled.apply(el, k)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+
+
+def test_power_tables_stay_bounded():
+    span = bases._POWER_SPAN
+    aut = ScaleAut(q_of(2))
+    high = EntirePoly({5000: 1, **{m: 1 for m in range(0, 100, 3)}})
+    for k in range(-40, 41):
+        aut.apply(high, k)
+    assert aut.apply(high, 7).coeffs[5000] == q_of(2) ** 35000
+    assert 0 < len(aut._powers) <= 2 * span + 1
+    assert all(abs(e) <= span for e in aut._powers)
+    diagonal = DiagonalAut((q_of(2), q_of(3)))
+    for k in range(-2 * span, 2 * span):
+        diagonal.apply(FreeSeries({(0, 1): 1}), k)
+    assert len(diagonal._powers) == 2 * span  # k = 0 never reaches the table
 
 
 def test_scale_aut_rejects_zero():
