@@ -37,6 +37,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar
 
 from .scalars import GaussianRational, _reduced
@@ -583,10 +584,14 @@ class BaseSpec:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def aut_is_identity(self) -> bool:
-        """alpha is the identity map: IdentityAut, or a shift by 0."""
-        return self.aut.kind == "identity" or (self.aut.kind == "shift" and not self.aut.step)
+    @cached_property
+    def aut_is_isometry(self) -> bool:
+        """alpha keeps every seminorm: the identity, a shift by 0, or factors of modulus 1."""
+        aut = self.aut
+        if aut.kind == "shift":
+            return not aut.step
+        qs = () if aut.kind == "identity" else (aut.q,) if aut.kind == "scale" else aut.qs
+        return all(q.abs2() == 1 for q in qs)
 
     def is_invertible(self, el) -> bool:
         """True for nonzero constants, the units among stored elements."""
@@ -611,7 +616,9 @@ class BaseSpec:
         self.check_index(lam)
         if el.is_zero():
             return 0.0, Exactness.EXACT
-        if len(w) <= 1 or self.aut_is_identity:
+        # under an isometry, f in slot 0 gives the upper bound, and
+        # submultiplicativity with the isometry gives it as the lower one
+        if len(w) <= 1 or self.aut_is_isometry:
             return self.seminorm(el, lam), Exactness.EXACT
         if self.kind == "entire" and self.aut.kind == "scale":
             return self._twisted_entire_scale(el, w, lam)
@@ -624,10 +631,6 @@ class BaseSpec:
         return self._slot_upper_bound(el, w, lam), Exactness.UPPER_BOUND
 
     def _twisted_entire_scale(self, el, w, lam):
-        if self.aut.q.abs2() == 1:
-            raise UnsupportedAutomorphism(
-                "the scaling closed form requires |q| != 1"
-            )
         if el.degree() == 0:  # |c| at every radius, also where lam_eff underflows
             return weighted_seminorm(el, lam), Exactness.EXACT
         k_min, k_max = extremal_twists(w)

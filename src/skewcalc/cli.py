@@ -174,8 +174,6 @@ _COMMANDS = {
 
 def run_command(args, config: SessionConfig) -> int:
     cmd = args.command
-    if cmd not in _COMMANDS:
-        raise UnsupportedCommand(f"unknown command {cmd!r}")
     needed, options = _COMMANDS[cmd]
     if len(args.exprs) != needed:
         raise ValueError(f"{cmd} takes {needed} expression{'' if needed == 1 else 's'},"

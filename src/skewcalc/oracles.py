@@ -18,10 +18,13 @@ from .tensor import TwistedSeries, mul, twisted_norm
 from .words import Word, all_words, partial_sums
 
 
+# the coefficients the oracles draw; none is 0, so every sampled product reaches f
+COEFF_GRID = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3))
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_samples: int = 200
-    coeff_grid: tuple = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3))
     seed: int = 0
 
 
@@ -60,7 +63,7 @@ def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBu
         return []
     rng = random.Random(budget.seed)
     (degree, coeff), = f.coeffs.items()
-    grid = [GaussianRational.of(c) for c in budget.coeff_grid]
+    grid = [GaussianRational.of(c) for c in COEFF_GRID]
     monomial = spec.element_type._trusted
     sums = partial_sums(w)
     out = []
@@ -73,8 +76,6 @@ def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBu
         exponents[-1] = remaining
         coeffs = [rng.choice(grid) for _ in exponents]
         gamma = _monomial_gamma(spec, sums, coeffs, exponents)
-        if not gamma:
-            continue  # a zero on the grid: the factors cannot reach f
         coeffs[-1] = coeffs[-1] * (coeff / gamma)
         factors = [monomial({e: c}) for c, e in zip(coeffs, exponents)]
         out.append([tuple(factors)])
@@ -131,7 +132,7 @@ def slice_quotient_norm(
 
     def random_monomial_series():
         letters = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, max(1, cap // 2))))
-        coeff = spec.monomial(rng.choice(budget.coeff_grid), rng.randint(0, 2))
+        coeff = spec.monomial(rng.choice(COEFF_GRID), rng.randint(0, 2))
         return TwistedSeries(spec, {letters: coeff}, **caps)
 
     for _ in range(budget.max_samples):
@@ -139,7 +140,7 @@ def slice_quotient_norm(
         for _ in range(rng.randint(1, 3)):
             u, v = random_monomial_series(), random_monomial_series()
             rel = r12 if rng.random() < 0.5 else r21
-            g = g + mul(mul(u, rel), v).scale(rng.choice(budget.coeff_grid))
+            g = g + mul(mul(u, rel), v).scale(rng.choice(COEFF_GRID))
         candidate = wide + g
         if candidate.truncated:
             continue

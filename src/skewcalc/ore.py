@@ -188,7 +188,7 @@ def _direction_report(spec: BaseSpec, lam, degree_cap: int, direction: int) -> D
     """The growth of alpha^direction on the seminorm at index lam.
 
     Over the basis monomials e of degree n, the sup of
-    ||alpha^direction e|| / ||e|| is g^n, where g = 1 for the identity;
+    ||alpha^direction e|| / ||e|| is g^n, where g = 1 for an isometry;
     (lam + |s|) / lam for a shift by s, since ||(z - s)^n|| = (lam + |s|)^n
     at radius lam and on [-lam, lam] alike; and max_i |q_i|^direction for
     scale and diagonal, where a power of one letter attains it.  The
@@ -196,7 +196,7 @@ def _direction_report(spec: BaseSpec, lam, degree_cap: int, direction: int) -> D
     degrees up to degree_cap is max(1, g)^degree_cap.
     """
     aut = spec.aut
-    if spec.aut_is_identity:
+    if spec.aut_is_isometry:
         g2 = Fraction(1)
     elif aut.kind == "shift":
         g2 = (1 + abs(aut.step) / Fraction(lam)) ** 2

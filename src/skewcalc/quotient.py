@@ -8,9 +8,9 @@ Ore class alike, and refuses a truncated input.  The winding functional
 phi(m, n) is the z^m coefficient of the t^n coefficient of the class.
 On the scaling base the module also builds the canonical coset
 representative, whose weighted norm is the one quotient seminorm it
-evaluates, and runs the collapse-to-zero diagnostics.  For |q| < 1 the
-quotient is the |q| > 1 one with x1 and x2 exchanged, so both read the
-class once, with regimes on 1/q and the winding n mirrored to -n.
+evaluates, and runs the collapse-to-zero diagnostics.  The scale closed
+form reads the slots of one letter u (x1 when |q| > 1, x2 when |q| < 1),
+so each class picks its word by two exact comparisons on u's side.
 """
 
 from __future__ import annotations
@@ -26,27 +26,15 @@ from .words import canonical_word, winding
 from .ore import LaurentOrePoly
 
 
-def _require_entire(f):
-    if f.spec.kind != "entire":
-        raise UnsupportedAutomorphism(
-            "winding functionals need z-monomial coefficients (entire base)"
-        )
-
-
 def _ore_class(f) -> LaurentOrePoly:
     """The class of f (a series or already its class) on the entire base."""
-    _require_entire(f)
+    if f.spec.kind != "entire":
+        raise UnsupportedAutomorphism("winding functionals need z-monomial coefficients"
+                                      " (entire base)")
     ore = reduce_to_ore(f)
     if ore.truncated:
         raise ValueError("the caps dropped terms of the input, so its class is unknown")
     return ore
-
-
-def _require_scale(spec: BaseSpec):
-    if spec.kind != "entire" or spec.aut.kind != "scale":
-        raise UnsupportedAutomorphism("quotient machinery needs the scaling base")
-    if spec.aut.q.abs2() == 1:
-        raise UnsupportedAutomorphism("|q| = 1 is excluded")
 
 
 def phi_table(f) -> dict:
@@ -77,22 +65,6 @@ def relators(spec: BaseSpec, **caps) -> tuple[TwistedSeries, TwistedSeries]:
 # ---------------------------------------------------------------------------
 
 
-def _winding_word(n: int):
-    return (1,) * n if n >= 0 else (2,) * (-n)
-
-
-_PLAIN, _PADDED, _DROPPED = range(3)
-
-
-def _regime(q: GaussianRational, m: int, rho) -> int:
-    """Regime of class m, exactly: |q|^m <= rho, else |q|^m <= rho^2, else dropped."""
-    qm2 = q.abs2() ** m
-    rho = Fraction(rho)
-    if qm2 <= rho**2:
-        return _PLAIN
-    return _PADDED if qm2 <= rho**4 else _DROPPED
-
-
 @dataclass(frozen=True)
 class CanonicalRep:
     series: TwistedSeries
@@ -103,35 +75,41 @@ def canonical_representative(f, rho: Fraction | float) -> CanonicalRep:
     """The coset representative whose weighted norm is the quotient seminorm.
 
     Requires the scaling base with |q| != 1; f is a series or its Ore
-    class.  For |q| > 1, classes (m, n) fall into three regimes by
-    comparing |q|^m against rho and rho^2: plain winding words, winding
-    words padded with a single trailing x2, or dropped entirely (the
-    quotient seminorm kills them).  For |q| < 1 the swap symmetry
-    (exchange the generators and invert q) mirrors this: the regimes
-    compare |1/q|^m, and padding, on n < 0, is by a trailing x1.  The
-    representative's caps are the least that hold its terms.
+    class.  Let u be the letter whose slots the scale closed form reads
+    (x1 when |q| > 1, x2 when |q| < 1) and Q = max(|q|, 1/|q|): z^m on a
+    word w weighs rho^|w| (lam Q^-K)^m, K its farthest slot twist towards
+    u.  Each pair "u, then the other letter" after a word of u's adds 2
+    to |w| and 1 to K, scaling the weight by rho^2 / Q^m; so class (m, n)
+    is dropped iff Q^(2m) > rho^4, and otherwise sits on its winding
+    word, which gets that one pair iff it is a nonempty word of u's and
+    Q^(2m) > rho^2 (there the first pair adds 2 to K).  Both comparisons
+    are exact.  The representative's caps are the least that hold its terms.
     """
-    _require_scale(f.spec)
+    spec = f.spec
+    if spec.kind != "entire" or spec.aut.kind != "scale":
+        raise UnsupportedAutomorphism("quotient machinery needs the scaling base")
+    q2 = spec.aut.q.abs2()
+    if q2 == 1:
+        raise UnsupportedAutomorphism("|q| = 1 is excluded")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    sign = 1 if f.spec.aut.q.abs2() > 1 else -1  # -1: x1 and x2 trade places
-    q = f.spec.aut.q ** sign
-    terms: dict = {}
-    dropped = set()
+    u, big_q2 = (1, q2) if q2 > 1 else (2, 1 / q2)
+    rho2 = Fraction(rho) ** 2
+    terms, dropped = {}, set()
     max_len = max_degree = 0
     for (m, n), c in phi_table(f).items():
-        regime = _regime(q, m, rho)
-        if regime == _DROPPED:
+        qm2 = big_q2**m
+        if qm2 > rho2**2:
             dropped.add((m, n))
             continue
-        w = _winding_word(n)
-        if regime == _PADDED and n * sign > 0:
-            w += (w[0], 3 - w[0])  # one more of its letter, then the other
+        w = (1,) * n if n >= 0 else (2,) * -n
+        if qm2 > rho2 and w[:1] == (u,):
+            w += (u, 3 - u)
         max_len = max(max_len, len(w))
         max_degree = max(max_degree, m)
-        coeff = f.spec.monomial(c, m)
+        coeff = spec.monomial(c, m)
         terms[w] = terms[w] + coeff if w in terms else coeff
-    series = TwistedSeries(f.spec, terms, max_word_len=max_len, max_degree=max_degree)
+    series = TwistedSeries(spec, terms, max_word_len=max_len, max_degree=max_degree)
     return CanonicalRep(series, frozenset(dropped))
 
 
@@ -140,15 +118,10 @@ def quotient_norm(f, lam, rho: Fraction | float) -> float:
 
     f is a series or its Ore class.  The value is the weighted norm of
     ``canonical_representative(f, rho)``, the one value the quotient
-    inequalities certify.
+    inequalities certify; ``twisted_norm`` checks lam before any word, so
+    an invalid lam gets no answer even when every class is dropped.
     """
-    _require_scale(f.spec)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    f.spec.check_index(lam)
-    rep = canonical_representative(f, rho)
-    value, _ = twisted_norm(rep.series, lam, rho)
-    return value
+    return twisted_norm(canonical_representative(f, rho).series, lam, rho)[0]
 
 
 def reduce_to_ore(f) -> LaurentOrePoly:

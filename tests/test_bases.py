@@ -15,8 +15,10 @@ from skewcalc import (
     IdentityAut,
     IntervalPoly,
     ScaleAut,
+    SearchBudget,
     ShiftAut,
     UnsupportedAutomorphism,
+    bruteforce_twisted_norm,
     generic_twisted_upper_bound,
     interval_seminorm,
     weighted_seminorm,
@@ -635,12 +637,17 @@ def test_base_spec_inverse_undoes_the_automorphism(rng, spec, rand):
 
 
 def test_identity_map_is_one_predicate():
-    # IdentityAut, or a shift by 0: both the seminorm and the probe read it
-    assert BaseSpec("entire", IdentityAut()).aut_is_identity
-    assert BaseSpec("entire", ShiftAut(0)).aut_is_identity
-    assert BaseSpec("interval", ShiftAut(0)).aut_is_identity
-    assert not BaseSpec("interval", ShiftAut(Fraction(1, 10**30))).aut_is_identity
-    assert not BaseSpec("entire", ScaleAut(q_of(2))).aut_is_identity
+    # alpha keeps every seminorm: the identity, a shift by 0, or factors of
+    # modulus 1; both the twisted seminorm and the probe read it
+    unit = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    assert BaseSpec("entire", IdentityAut()).aut_is_isometry
+    assert BaseSpec("entire", ShiftAut(0)).aut_is_isometry
+    assert BaseSpec("interval", ShiftAut(0)).aut_is_isometry
+    assert BaseSpec("entire", ScaleAut(unit)).aut_is_isometry
+    assert BaseSpec("free", DiagonalAut((unit, q_of(-1))), ngens=2).aut_is_isometry
+    assert not BaseSpec("interval", ShiftAut(Fraction(1, 10**30))).aut_is_isometry
+    assert not BaseSpec("entire", ScaleAut(q_of(2))).aut_is_isometry
+    assert not BaseSpec("free", DiagonalAut((unit, q_of(2))), ngens=2).aut_is_isometry
 
 
 def test_is_invertible(scale2_spec, free_diag_spec):
@@ -684,10 +691,22 @@ def test_twisted_seminorm_scale_constant_survives_an_underflowed_radius(scale2_s
     assert not isinstance(caught.value, (OverflowError, ValueError))
 
 
-def test_twisted_seminorm_rejects_unit_modulus_q():
-    spec = BaseSpec("entire", ScaleAut(GaussianRational(Fraction(0), Fraction(1))))
-    with pytest.raises(UnsupportedAutomorphism):
-        spec.twisted_seminorm(EntirePoly.one(), (1, 2), 1)
+def test_twisted_seminorm_unit_modulus_is_plain_seminorm(rng):
+    # alpha is an isometry: f in slot 0 is optimal on every word, and no
+    # sampled decomposition beats it
+    unit = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    scale = BaseSpec("entire", ScaleAut(unit))
+    diagonal = BaseSpec("free", DiagonalAut((unit, GaussianRational(0, 1))), ngens=2)
+    budget = SearchBudget(max_samples=20, seed=3)
+    for _ in range(20):
+        w = rand_word(rng, 6, min_len=2)
+        for spec, el in ((scale, rand_entire(rng)), (diagonal, rand_free(rng, 2, 3))):
+            for lam in (1, Fraction(3, 2)):
+                value = spec.seminorm(el, lam)
+                assert spec.twisted_seminorm(el, w, lam) == (value, Exactness.EXACT)
+        monomial = EntirePoly({rng.randint(0, 4): rand_gauss(rng, allow_zero=False)})
+        sampled = bruteforce_twisted_norm(scale, monomial, w, 1, budget)
+        assert sampled >= scale.seminorm(monomial, 1) * (1 - 1e-12)
 
 
 def test_twisted_seminorm_interval_shift_exact(interval_shift_spec):

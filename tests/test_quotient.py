@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from skewcalc import (
 )
 from skewcalc.parsing import format_element
 from skewcalc.quotient import phi_table
-from skewcalc.words import winding
+from skewcalc.words import all_words, winding
 
 from conftest import q_of, rand_series
 
@@ -216,6 +217,46 @@ def test_quotient_norm_is_a_lower_bound(rng, scale2_spec):
         g = rand_ideal_element(rng, scale2_spec)
         candidate, _ = twisted_norm(f + g, 1, 1.5)
         assert candidate >= quotient_norm(f, 1, 1.5) - 1e-9
+
+
+def _least_weights(seminorms, words, rho, top_len):
+    """least[L]: the least seminorm * rho^|w| over the given words of length <= L."""
+    least = [math.inf] * (top_len + 1)
+    for w in words:
+        least[len(w)] = min(least[len(w)], seminorms[w] * float(rho) ** len(w))
+    for length in range(1, top_len + 1):
+        least[length] = min(least[length], least[length - 1])
+    return least
+
+
+def test_quotient_norm_is_the_least_weight_over_words():
+    # a brute force over every word up to length 10, without the canonical
+    # representative: z^m on its plain winding word has, as quotient norm,
+    # the least rho^|w| ||z^m||^(w) over the words w of its winding, which
+    # no longer word lowers; a dropped class's least weight still falls at
+    # the top length
+    top_len = 10
+    by_winding = {}
+    for w in all_words(top_len):
+        by_winding.setdefault(winding(w), []).append(w)
+    for q in (q_of(2), q_of("1/2"), q_of("3/2"), GaussianRational(1, 1), q_of("2/3")):
+        spec = BaseSpec("entire", ScaleAut(q))
+        for m in range(4):
+            z_m = EntirePoly({m: 1})
+            seminorms = {}
+            for n in range(-3, 4):
+                for w in by_winding[n]:
+                    seminorms[w] = spec.twisted_seminorm(z_m, w, 1)[0]
+            for rho in (1, Fraction(3, 2), 2, 3):
+                for n in range(-3, 4):
+                    plain = (1,) * n if n >= 0 else (2,) * -n
+                    value = quotient_norm(series(spec, {plain: z_m}), 1, rho)
+                    least = _least_weights(seminorms, by_winding[n], rho, top_len)
+                    if value:
+                        assert value == pytest.approx(least[top_len], rel=1e-12), (q, m, rho, n)
+                        assert all(value <= bound * (1 + 1e-12) for bound in least)
+                    else:
+                        assert least[top_len] < least[top_len - 2] * (1 - 1e-12), (q, m, rho, n)
 
 
 # -- reduction to the skew Laurent ring --------------------------------------
