@@ -56,7 +56,6 @@ from .parsing import (
 from .oracles import (
     SearchBudget,
     bruteforce_twisted_norm,
-    exhaustive_word_check,
     slice_quotient_norm,
 )
 

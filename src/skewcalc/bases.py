@@ -273,9 +273,6 @@ class IntervalPoly(_Polynomial):
     def _from_parts(a, b, d):
         return Fraction(a, d)
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        return _poly_eval(_dense(self), Fraction(x))
-
 
 class FreeSeries(SparseElement):
     """Finitely supported series over free generators g1..gn.
@@ -658,12 +655,8 @@ class BaseSpec:
 
     def _slot_upper_bound(self, el, w, lam) -> float:
         # place alpha^{-p}(el) in the slot whose twist is p, ones elsewhere
-        best = None
-        for p in set(partial_sums(w)[:-1]):
-            value = self.seminorm(self.aut.apply(el, -p), lam)
-            if best is None or value < best:
-                best = value
-        return best
+        return min(self.seminorm(self.aut.apply(el, -p), lam)
+                   for p in set(partial_sums(w)[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bases import BaseSpec, generic_twisted_upper_bound
 from .scalars import GaussianRational
 from .tensor import TwistedSeries, mul, twisted_norm
-from .words import Word, all_words, partial_sums
+from .words import Word, partial_sums
 
 
 # the coefficients the oracles draw; none is 0, so every sampled product reaches f
@@ -93,12 +93,8 @@ def bruteforce_twisted_norm(spec: BaseSpec, f, w: Word, lam, budget: SearchBudge
         return spec.seminorm(f, lam)
     candidates = _slot_decompositions(spec, f, w)
     candidates += _random_monomial_decompositions(spec, f, w, budget)
-    best = None
-    for decomposition in candidates:
-        value = generic_twisted_upper_bound(spec, f, w, lam, decomposition)
-        if best is None or value < best:
-            best = value
-    return best
+    return min(generic_twisted_upper_bound(spec, f, w, lam, decomposition)
+               for decomposition in candidates)
 
 
 def slice_quotient_norm(
@@ -136,7 +132,7 @@ def slice_quotient_norm(
         return TwistedSeries(spec, {letters: coeff}, **caps)
 
     for _ in range(budget.max_samples):
-        g = TwistedSeries.zero(spec, **caps)
+        g = TwistedSeries(spec, **caps)
         for _ in range(rng.randint(1, 3)):
             u, v = random_monomial_series(), random_monomial_series()
             rel = r12 if rng.random() < 0.5 else r21
@@ -148,24 +144,3 @@ def slice_quotient_norm(
         best = min(best, value)
     return best
 
-
-@dataclass(frozen=True)
-class WordCheckReport:
-    passed: bool
-    checked: int
-    counterexample: tuple | None = None
-
-    def __bool__(self):
-        return self.passed
-
-
-def exhaustive_word_check(prop, max_len: int) -> WordCheckReport:
-    """Evaluate a word predicate on every word of length <= max_len."""
-    if max_len > 12:
-        raise ValueError("enumeration cap is 12")
-    checked = 0
-    for w in all_words(max_len):
-        checked += 1
-        if not prop(w):
-            return WordCheckReport(False, checked, w)
-    return WordCheckReport(True, checked)

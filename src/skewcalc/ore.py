@@ -27,7 +27,8 @@ class _TwistedMap:
     Each kind is a frozen slotted dataclass that declares its key type
     (``_key``), the key of 1 (``_unit``) and the twist of a key
     (``_twist``); a kind with caps names their fields in ``_caps`` and
-    overrides ``_fits``.
+    overrides ``_fits``.  The constructor, ``Kind(spec, terms, *caps)``, is
+    the one way to build a map; with no terms it is the zero.
     """
 
     __slots__ = ()
@@ -57,19 +58,6 @@ class _TwistedMap:
 
     def _fits(self, k, a) -> bool:  # the term a on key k meets the caps
         return True
-
-    # the fields after the terms (the caps) pass through
-    @classmethod
-    def zero(cls, spec: BaseSpec, *fields, **named):
-        return cls(spec, {}, *fields, **named)
-
-    @classmethod
-    def one(cls, spec: BaseSpec, *fields, **named):
-        return cls(spec, {cls._unit: spec.one()}, *fields, **named)
-
-    @classmethod
-    def term(cls, spec: BaseSpec, a, key=None, *fields, **named):
-        return cls(spec, {cls._unit if key is None else key: a}, *fields, **named)
 
     def _check(self, other):
         if type(other) is not type(self) or other.spec != self.spec:

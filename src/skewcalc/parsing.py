@@ -304,9 +304,9 @@ def parse_expr(source: str, spec: BaseSpec, caps: dict | None = None):
         if is_t != uses_t:
             raise ParseError("an expression cannot mix t with x1/x2", 1, pos + 1)
     if uses_t:
-        ring = _Ring(spec, LaurentOrePoly.zero(spec), {"t": 1})
+        ring = _Ring(spec, LaurentOrePoly(spec), {"t": 1})
     else:
-        ring = _Ring(spec, TwistedSeries.zero(spec, **caps), {"x1": (1,), "x2": (2,)})
+        ring = _Ring(spec, TwistedSeries(spec, **caps), {"x1": (1,), "x2": (2,)})
     return ring.lift(_Parser(tokens, ring).parse())
 
 

@@ -135,7 +135,7 @@ def reduce_to_ore(f) -> LaurentOrePoly:
     for w, a in f.terms.items():
         n = winding(w)
         coeffs[n] = coeffs[n] + a if n in coeffs else a
-    return LaurentOrePoly.zero(f.spec)._derived(coeffs, f.truncated)
+    return LaurentOrePoly(f.spec)._derived(coeffs, f.truncated)
 
 
 # ---------------------------------------------------------------------------

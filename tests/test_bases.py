@@ -57,9 +57,21 @@ def test_entire_poly_arithmetic_is_exact():
     assert EntirePoly({0: 1}) != IntervalPoly({0: 1})
 
 
+def test_equal_elements_hash_equal():
+    # the same terms in another order, and coefficients written another way
+    for a, b in ((EntirePoly({2: 1, 0: Fraction(1, 2)}), EntirePoly({0: q_of("2/4"), 2: 1})),
+                 (FreeSeries({(0, 1): 3, (): 1}), FreeSeries({(): 1, (0, 1): Fraction(6, 2)}))):
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def _value(f: IntervalPoly, x: Fraction) -> Fraction:
+    return sum(c * x**m for m, c in f.coeffs.items())
+
+
 def test_interval_poly_evaluate():
     f = IntervalPoly({2: 1, 0: -1})
-    assert f.evaluate(Fraction(3, 2)) == Fraction(5, 4)
+    assert _value(f, Fraction(3, 2)) == Fraction(5, 4)
 
 
 def test_interval_poly_keeps_rational_coefficients():
@@ -239,7 +251,7 @@ def test_interval_seminorm_repeated_critical_point_at_an_endpoint():
     # of f' vanishes at -2, so only the sequence divided by their gcd z + 2
     # still counts the root at 3/2
     f = IntervalPoly({4: Fraction(1, 4), 3: Fraction(5, 6), 2: -1, 1: -6})
-    assert f.evaluate(Fraction(3, 2)) == Fraction(-459, 64)
+    assert _value(f, Fraction(3, 2)) == Fraction(-459, 64)
     assert interval_seminorm(f, (-2, 2)) == pytest.approx(459 / 64, abs=1e-9)
 
 
@@ -252,7 +264,7 @@ def _sup_bracket(f: IntervalPoly, lo: Fraction, hi: Fraction, points: int = 256)
     M2 = sum |c_m| m (m-1) R^(m-2) >= |f''| on [-R, R].
     """
     h = (hi - lo) / points
-    lower = max(abs(f.evaluate(lo + j * h)) for j in range(points + 1))
+    lower = max(abs(_value(f, lo + j * h)) for j in range(points + 1))
     radius = max(abs(lo), abs(hi))
     m2 = sum(abs(c) * m * (m - 1) * radius ** (m - 2) for m, c in f.coeffs.items() if m > 1)
     return lower, lower + m2 * h * h / 8
@@ -668,6 +680,15 @@ def test_twisted_seminorm_short_words_equal_base(rng, scale2_spec):
             value, tag = scale2_spec.twisted_seminorm(f, w, 1.5)
             assert tag is Exactness.EXACT
             assert value == scale2_spec.seminorm(f, 1.5)
+
+
+def test_twisted_seminorm_of_zero_is_an_exact_float_zero(
+        scale2_spec, shift_entire_spec, interval_shift_spec, free_diag_spec, identity_entire_spec):
+    for spec in (scale2_spec, shift_entire_spec, interval_shift_spec, free_diag_spec,
+                 identity_entire_spec):
+        for w in ((1, 2), (2, 1, 1)):
+            value = spec.twisted_seminorm(spec.zero(), w, 1)
+            assert value == (0.0, Exactness.EXACT) and type(value[0]) is float
 
 
 def test_twisted_seminorm_scale_closed_form(scale2_spec, scale_half_spec):

@@ -442,7 +442,9 @@ def test_config_error_exit_code(capsys, tmp_path):
                  # unknown keys, removed ones among them, never fall back to defaults
                  "format = csv\n", "automorphsm = identity\n", "derivation = ddz\n",
                  # three generators, two diagonal factors
-                 "base = free(3)\nautomorphism = diagonal\nq = 2, 1/2\n"):
+                 "base = free(3)\nautomorphism = diagonal\nq = 2, 1/2\n",
+                 # a zero diagonal factor
+                 "base = free(2)\nautomorphism = diagonal\nq = 2, 0\n"):
         malformed = tmp_path / "malformed.cfg"
         malformed.write_text(text)
         code, _, err = run(capsys, ["--config", str(malformed), "qnorm", "z*x1"])

@@ -179,8 +179,8 @@ def assert_clean_series(r):
 
 
 def test_series_arithmetic_builds_clean_series(scale2_spec):
-    one = TwistedSeries.one(scale2_spec, **CAPS)
-    x1 = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), **CAPS)
+    one = TwistedSeries(scale2_spec, {(): scale2_spec.one()}, **CAPS)
+    x1 = TwistedSeries(scale2_spec, {(1,): scale2_spec.one()}, **CAPS)
     s = TwistedSeries(scale2_spec, {(): EntirePoly({0: 1, 1: 2}), (1, 2): EntirePoly({3: -1})}, **CAPS)
     for r in (s - s, s.scale(0), -s, s + s, s.scale(Fraction(1, 2))):
         assert_clean_series(r)
@@ -198,7 +198,7 @@ def test_series_arithmetic_builds_clean_series(scale2_spec):
 
 
 def test_series_results_keep_truncated_flag(scale2_spec):
-    x1 = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), max_word_len=2, max_degree=8)
+    x1 = TwistedSeries(scale2_spec, {(1,): scale2_spec.one()}, max_word_len=2, max_degree=8)
     cut = mul(mul(x1, x1), x1)
     assert cut.truncated and cut.is_zero()
     for r in (-cut, cut.scale(3), cut + x1, x1 + cut, cut - cut):

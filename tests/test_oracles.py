@@ -12,7 +12,6 @@ from skewcalc import (
     SearchBudget,
     TwistedSeries,
     bruteforce_twisted_norm,
-    exhaustive_word_check,
     mul,
     quotient_norm,
     slice_quotient_norm,
@@ -20,7 +19,7 @@ from skewcalc import (
 )
 from skewcalc.bases import i_w_apply
 from skewcalc.oracles import COEFF_GRID, _monomial_gamma, _random_monomial_decompositions
-from skewcalc.words import all_words, extremal_twists, partial_sums, winding
+from skewcalc.words import all_words, partial_sums
 
 from conftest import q_of, rand_entire, rand_series, rand_word
 
@@ -141,21 +140,3 @@ def test_slice_quotient_norm_improves_on_raw_norm(scale2_spec):
     assert sliced < raw
     assert sliced < 1e-3
 
-
-def test_exhaustive_word_check_passes(scale2_spec):
-    report = exhaustive_word_check(lambda w: extremal_twists(w)[1] >= 0, 8)
-    assert report and report.passed
-    assert report.checked == 2**9 - 1
-    assert report.counterexample is None
-
-
-def test_exhaustive_word_check_finds_counterexample():
-    report = exhaustive_word_check(lambda w: winding(w) >= 0, 4)
-    assert not report
-    assert report.counterexample is not None
-    assert winding(report.counterexample) < 0
-
-
-def test_exhaustive_word_check_caps_length():
-    with pytest.raises(ValueError):
-        exhaustive_word_check(lambda w: True, 13)

@@ -390,7 +390,7 @@ def test_quotient_reads_only_the_ore_class(q, terms, in_ideal, lam, rho):
 
 def test_truncated_input_has_no_class(scale2_spec, scale_half_spec):
     for spec in (scale2_spec, scale_half_spec):
-        x1 = TwistedSeries.term(spec, spec.one(), (1,), max_word_len=1, max_degree=8)
+        x1 = TwistedSeries(spec, {(1,): spec.one()}, max_word_len=1, max_degree=8)
         cut = mul(x1, x1) + x1
         assert cut.truncated and reduce_to_ore(cut).truncated
         for read in (phi_table, ideal_member, lambda f: canonical_representative(f, 2.0),

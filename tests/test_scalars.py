@@ -163,7 +163,9 @@ def test_equal_values_built_different_ways():
     half = GaussianRational(Fraction(1, 2))
     for other in (GaussianRational(Fraction(2, 4)), GaussianRational.of(Fraction(1, 2)),
                   GaussianRational(Fraction(3, 2)) - 1, GaussianRational(1) / 2,
-                  GaussianRational(Fraction(1, 2), Fraction(1, 3)) - GaussianRational(0, Fraction(2, 6))):
+                  GaussianRational(Fraction(1, 2), Fraction(1, 3)) - GaussianRational(0, Fraction(2, 6)),
+                  # a float, read exactly through Fraction
+                  GaussianRational(0.5)):
         assert other == half and hash(other) == hash(half)
     # arithmetic leaves its operands as they were
     assert half * 2 == GaussianRational(1) and -half + half == GaussianRational()

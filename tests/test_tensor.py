@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from skewcalc import (
+    BaseSpec,
     EntirePoly,
     Exactness,
     GaussianRational,
+    ScaleAut,
+    ShiftAut,
     TwistedSeries,
     i_w_apply,
     mul,
@@ -15,7 +18,7 @@ from skewcalc import (
 from skewcalc.bases import MismatchedBaseError
 from skewcalc.words import all_words, winding
 
-from conftest import rand_entire, rand_series, rand_word
+from conftest import q_of, rand_entire, rand_series, rand_word
 
 CAPS = dict(max_word_len=16, max_degree=32)
 
@@ -36,13 +39,13 @@ def test_caps_enforced_on_construction(scale2_spec):
 
 
 def test_mul_sets_truncated_flag(scale2_spec):
-    x1 = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), max_word_len=1)
+    x1 = TwistedSeries(scale2_spec, {(1,): scale2_spec.one()}, max_word_len=1)
     product = mul(x1, x1)
     assert product.is_zero()
     assert product.truncated
     # the norm of what the caps left is not a clean value
     assert twisted_norm(product, 1, 1.0) == (0.0, Exactness.TRUNCATED)
-    ok = mul(TwistedSeries.one(scale2_spec), x1)
+    ok = mul(TwistedSeries(scale2_spec, {(): scale2_spec.one()}), x1)
     assert not ok.truncated
     assert twisted_norm(ok, 1, 1.0) == (1.0, Exactness.EXACT)
 
@@ -50,7 +53,7 @@ def test_mul_sets_truncated_flag(scale2_spec):
 def test_sum_drops_terms_beyond_the_left_caps(scale2_spec):
     # the sum follows the product's rule: it keeps a's caps, and a term of
     # b beyond them is dropped with the flag set instead of raising
-    a = TwistedSeries.term(scale2_spec, EntirePoly({1: 1}), (2,), max_word_len=2)
+    a = TwistedSeries(scale2_spec, {(2,): EntirePoly({1: 1})}, max_word_len=2)
     b = TwistedSeries(scale2_spec, {(1, 1, 1): EntirePoly.one(), (2,): EntirePoly.one()},
                       max_word_len=8)
     total = a + b
@@ -60,6 +63,14 @@ def test_sum_drops_terms_beyond_the_left_caps(scale2_spec):
     # b's wider caps hold a's terms
     assert (b + a).terms.keys() == {(1, 1, 1), (2,)}
     assert not (b + a).truncated
+
+
+def test_equal_series_hash_equal(scale2_spec):
+    z = EntirePoly({1: 1})
+    f = TwistedSeries(scale2_spec, {(1,): z, (): EntirePoly.one()})
+    g = TwistedSeries(scale2_spec, {(): EntirePoly.one()}) + TwistedSeries(scale2_spec, {(1,): z})
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
 
 
 def test_word_validation(scale2_spec):
@@ -72,8 +83,8 @@ def test_word_validation(scale2_spec):
 
 def test_concatenation_with_twist(scale2_spec):
     z = EntirePoly({1: 1})
-    f = TwistedSeries.term(scale2_spec, z, (1,), **CAPS)
-    g = TwistedSeries.term(scale2_spec, z, (2,), **CAPS)
+    f = TwistedSeries(scale2_spec, {(1,): z}, **CAPS)
+    g = TwistedSeries(scale2_spec, {(2,): z}, **CAPS)
     # (z x1)(z x2): right coefficient twisted by alpha^{c(1)} = alpha
     assert mul(f, g).terms == {(1, 2): EntirePoly({2: 2})}
     # (z x2)(z x1): twisted by alpha^{-1}
@@ -93,7 +104,7 @@ def test_mul_distributes(rng, scale2_spec):
 
 
 def test_unit_laws(rng, scale2_spec):
-    one = TwistedSeries.one(scale2_spec, **CAPS)
+    one = TwistedSeries(scale2_spec, {(): scale2_spec.one()}, **CAPS)
     for _ in range(20):
         f = rand_series(rng, scale2_spec, 2, 3, 3, **CAPS)
         assert mul(one, f) == f == mul(f, one)
@@ -109,7 +120,8 @@ def test_grading(rng, scale2_spec):
 
 def test_mismatched_specs_rejected(scale2_spec, scale_half_spec):
     with pytest.raises(MismatchedBaseError):
-        mul(TwistedSeries.one(scale2_spec), TwistedSeries.one(scale_half_spec))
+        mul(TwistedSeries(scale2_spec, {(): scale2_spec.one()}),
+            TwistedSeries(scale_half_spec, {(): scale_half_spec.one()}))
 
 
 # -- slot products -----------------------------------------------------------
@@ -151,7 +163,7 @@ def test_i_w_balanced_at_sampled_slots(rng, scale2_spec):
 
 def test_twisted_norm_monomial(scale2_spec):
     z = EntirePoly({1: 1})
-    f = TwistedSeries.term(scale2_spec, z, (1, 1, 2, 2), **CAPS)
+    f = TwistedSeries(scale2_spec, {(1, 1, 2, 2): z}, **CAPS)
     value, tag = twisted_norm(f, 1, 2.0)
     # ||z||^{(1122)}_1 = 1/4, times rho^4
     assert (value, tag) == (4.0, Exactness.EXACT)
@@ -159,7 +171,7 @@ def test_twisted_norm_monomial(scale2_spec):
 
 def test_twisted_norm_rejects_bad_rho(scale2_spec):
     with pytest.raises(ValueError):
-        twisted_norm(TwistedSeries.one(scale2_spec), 1, 0)
+        twisted_norm(TwistedSeries(scale2_spec, {(): scale2_spec.one()}), 1, 0)
 
 
 def test_twisted_norm_submultiplicative_interval_shift(rng, interval_shift_spec):
@@ -191,12 +203,33 @@ def test_twisted_norm_submultiplicative_scale(rng, scale2_spec, scale_half_spec)
                 assert pv <= fv * gv + 1e-9
 
 
+def test_product_continuous_at_a_shifted_index(rng):
+    # ||fg||_(lam, rho) <= ||f||_(lam', rho) ||g||_(lam', rho) on every
+    # support: lam' = Q lam with Q = max(|q|, 1/|q|) on entire/scale, and
+    # lam' = lam + |s| on interval/shift with step s
+    cases = [(BaseSpec("entire", ScaleAut(q_of(q))), 100,
+              lambda lam, q=Fraction(q): lam * max(q, 1 / q)) for q in ("2", "1/2", "3/2")]
+    cases += [(BaseSpec("interval", ShiftAut(s)), 40, lambda lam, s=s: lam + abs(s))
+              for s in (1, Fraction(-1, 2), 2)]
+    for spec, pairs, shifted in cases:
+        for _ in range(pairs):
+            f = rand_series(rng, spec, 2, 3, 3, **CAPS)
+            g = rand_series(rng, spec, 2, 3, 3, **CAPS)
+            product = mul(f, g)
+            assert not product.truncated
+            for lam, rho in ((Fraction(1), 1.0), (Fraction(1, 2), 2.0)):
+                pv, _ = twisted_norm(product, lam, rho)
+                fv, _ = twisted_norm(f, shifted(lam), rho)
+                gv, _ = twisted_norm(g, shifted(lam), rho)
+                assert pv <= fv * gv * (1 + 1e-12), (spec, f, g, lam, rho)
+
+
 def test_submultiplicativity_sharp_at_constant_right_factor(scale2_spec):
     # the per-word seminorm carries no twist for the final slot, so a
     # right factor with a constant-word term can defeat the product
     # bound: x1 * z = (2z) x1 has norm 2*lam*rho > lam*rho
-    x1 = TwistedSeries.term(scale2_spec, scale2_spec.one(), (1,), **CAPS)
-    z = TwistedSeries.term(scale2_spec, EntirePoly({1: 1}), (), **CAPS)
+    x1 = TwistedSeries(scale2_spec, {(1,): scale2_spec.one()}, **CAPS)
+    z = TwistedSeries(scale2_spec, {(): EntirePoly({1: 1})}, **CAPS)
     pv, _ = twisted_norm(mul(x1, z), 1, 1.0)
     fv, _ = twisted_norm(x1, 1, 1.0)
     gv, _ = twisted_norm(z, 1, 1.0)
@@ -206,7 +239,7 @@ def test_submultiplicativity_sharp_at_constant_right_factor(scale2_spec):
 def test_upper_bound_tag_propagates(free_diag_spec):
     from skewcalc import FreeSeries
 
-    f = TwistedSeries.term(free_diag_spec, FreeSeries({(0,): 1}), (1, 2), **CAPS)
+    f = TwistedSeries(free_diag_spec, {(1, 2): FreeSeries({(0,): 1})}, **CAPS)
     _, tag = twisted_norm(f, 1, 1.0)
     assert tag is Exactness.UPPER_BOUND
 
@@ -214,7 +247,7 @@ def test_upper_bound_tag_propagates(free_diag_spec):
 def test_underflowed_upper_bound_is_not_exact(shift_entire_spec):
     # the slot bound of z^2 on x1 x2 at lambda = 1e-200 is 1e-400, which
     # reads 0.0 as a float: still only an upper bound, never a certificate
-    f = TwistedSeries.term(shift_entire_spec, EntirePoly({2: 1}), (1, 2), **CAPS)
+    f = TwistedSeries(shift_entire_spec, {(1, 2): EntirePoly({2: 1})}, **CAPS)
     lam = Fraction(10) ** -200
     assert shift_entire_spec.twisted_seminorm(f.terms[(1, 2)], (1, 2), lam) == (
         0.0, Exactness.UPPER_BOUND)
@@ -222,6 +255,6 @@ def test_underflowed_upper_bound_is_not_exact(shift_entire_spec):
 
 
 def test_zero_valued_upper_bounds_stay_exact(shift_entire_spec):
-    f = TwistedSeries.term(shift_entire_spec, EntirePoly({1: 1}), (1,) * 6, **CAPS)
+    f = TwistedSeries(shift_entire_spec, {(1,) * 6: EntirePoly({1: 1})}, **CAPS)
     value, tag = twisted_norm(f, 1, 2.0)
     assert (value, tag) == (0.0, Exactness.EXACT)
