@@ -301,6 +301,7 @@ def _build_parser() -> tuple:
     parsed namespace."""
     parser = argparse.ArgumentParser(
         prog="skewcalc",
+        allow_abbrev=False,
         description="Seminorm analytics for skew polynomial and twisted series algebras",
     )
     parser.register("action", None, _StoreOnce)

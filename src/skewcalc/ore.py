@@ -1,7 +1,7 @@
 """Twisted sparse maps, and the skew Laurent polynomials among them.
 
 A twisted map sends keys to base elements over a fixed BaseSpec.  Keys
-form a monoid under ``+``, so one loop multiplies every kind:
+form a monoid under ``+``, so one loop, ``*``, multiplies every kind:
 (fg)_k = sum over k1 + k2 = k of f_{k1} * alpha^{twist(k1)}(g_{k2}).
 :class:`LaurentOrePoly` has exponents of t for keys (twist = exponent, no
 caps); ``TwistedSeries`` has two-letter words (twist = winding, capped).
@@ -106,8 +106,9 @@ class _TwistedMap:
             out[k] = out[k] + term if k in out else term
         return dropped
 
-    def _product(self, other):
+    def __mul__(self, other):
         """The twisted product; a term that does not fit is dropped, setting the flag."""
+        self._check(other)
         row = self._row
         out: dict = {}
         truncated = self.truncated or other.truncated
@@ -140,14 +141,10 @@ class LaurentOrePoly(_TwistedMap):
     _unit = 0
     _twist = int  # t^i twists by alpha^i
 
-    def __mul__(self, other):
-        return ore_mul(self, other)
-
 
 def ore_mul(f: LaurentOrePoly, g: LaurentOrePoly) -> LaurentOrePoly:
     """Exact product under the skew rewriting rule t a = alpha(a) t."""
-    f._check(g)
-    return f._product(g)
+    return f * g
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ class _Ring:
             out = {}
             dropped = self.zero._row(*x, dict([y]), out)
             return next(iter(out.items())) if out else self.zero._derived({}, dropped)
-        return self.lift(x)._product(self.lift(y))
+        return self.lift(x) * self.lift(y)
 
     def scalar(self, c: GaussianRational):
         if self.spec.kind == "interval":

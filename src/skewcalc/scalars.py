@@ -4,13 +4,12 @@ All coefficient arithmetic in the package is exact.  A
 :class:`GaussianRational` holds one normalized integer triple (a, b, d)
 for the value (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1, so equal
 values have equal triples and equality and hashing are integer
-compares.  Arithmetic works on the ints alone, with one shared
-denominator and as few gcds as the operands allow (Knuth, TAOCP vol. 2,
-4.5.1): a power of a real a/d is a^k/d^k, already in lowest terms, and a
-power of a complex value squares and multiplies the integer pair (a, b)
-and takes one gcd with d^k at the end.  ``re``, ``im`` and ``abs2()``
-hand out ``fractions.Fraction`` values.  Only seminorm evaluation (which
-needs square roots and real powers) goes through binary64 floats.
+compares.  Each operation is one formula on the integer triples,
+reduced once (Knuth, TAOCP vol. 2, 4.5.1): a power squares and
+multiplies the integer pair (a, b) and takes one gcd with d^k at the
+end.  ``re``, ``im`` and ``abs2()`` hand out ``fractions.Fraction``
+values.  Only seminorm evaluation (which needs square roots and real
+powers) goes through binary64 floats.
 """
 
 from __future__ import annotations
@@ -40,10 +39,8 @@ class GaussianRational:
         # triple that is already in lowest terms
         a, d = _ratio(re)
         b, e = _ratio(im)
-        if d != e:
-            lcm = math.lcm(d, e)
-            a, b, d = a * (lcm // d), b * (lcm // e), lcm
-        return _make(a, b, d)
+        lcm = math.lcm(d, e)
+        return _make(a * (lcm // d), b * (lcm // e), lcm)
 
     @staticmethod
     def of(value) -> "GaussianRational":
@@ -66,8 +63,6 @@ class GaussianRational:
                 return NotImplemented
             other = GaussianRational(other)
         d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a + other._a, self._b + other._b, d)
         return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
@@ -90,28 +85,14 @@ class GaussianRational:
             other = GaussianRational(other)
         a, b, d = self._a, self._b, self._d
         c, f, e = other._a, other._b, other._d
-        if not b and not f:
-            # real times real: cancel across first, as Fraction does, and
-            # the product is in lowest terms
-            g = _gcd(a, e)
-            if g > 1:
-                a //= g
-                e //= g
-            g = _gcd(c, d)
-            if g > 1:
-                c //= g
-                d //= g
-            return _make(a * c, 0, d * e)
         return _reduced(a * c - b * f, a * f + b * c, d * e)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
         a, b, d = self._a, self._b, self._d
-        if not b:
-            if not a:
-                raise ZeroDivisionError("inverse of zero")
-            return _make(-d, 0, -a) if a < 0 else _make(d, 0, a)
+        if not a and not b:
+            raise ZeroDivisionError("inverse of zero")
         # d / (a + b i) = d (a - b i) / (a^2 + b^2)
         return _reduced(d * a, -d * b, a * a + b * b)
 
@@ -125,9 +106,6 @@ class GaussianRational:
         if k < 0:
             return self.inverse() ** (-k)
         a, b, d = self._a, self._b, self._d
-        if not b:
-            # gcd(a, d) == 1, so a^k / d^k is in lowest terms
-            return _make(a**k, 0, d**k)
         # square-and-multiply on the integer pair, then one gcd
         dk = d**k
         re, im = 1, 0

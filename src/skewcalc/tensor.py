@@ -46,9 +46,6 @@ class TwistedSeries(_TwistedMap):
     def _fits(self, w: Word, a) -> bool:
         return len(w) <= self.max_word_len and a.degree() <= self.max_degree
 
-    def __mul__(self, other):
-        return mul(self, other)
-
     def words(self):
         return sorted(self.terms, key=word_sort_key)
 
@@ -58,8 +55,7 @@ class TwistedSeries(_TwistedMap):
 
 def mul(f: TwistedSeries, g: TwistedSeries) -> TwistedSeries:
     """Exact product; cap-exceeding terms are dropped with the flag set."""
-    f._check(g)
-    return f._product(g)
+    return f * g
 
 
 def twisted_norm(f: TwistedSeries, lam, rho: float) -> tuple[float, Exactness]:

@@ -782,7 +782,10 @@ def test_unknown_option_is_still_rejected(capsys):
     # qnorm has one closed form; --paper-display selected a second one
     for argv, flag in ((["norm", "z*x1", "--rhoo", "2"], "--rhoo"),
                        (["norm", "--rhoo", "2", "z*x1"], "--rhoo"),
-                       (["qnorm", "z*x1", "--paper-display"], "--paper-display")):
+                       (["qnorm", "z*x1", "--paper-display"], "--paper-display"),
+                       # a prefix of an option is no abbreviation of it
+                       (["vanishing", "--dep", "2"], "--dep"),
+                       (["localizability", "--lambda-g", "1,2"], "--lambda-g")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

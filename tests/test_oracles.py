@@ -12,7 +12,6 @@ from skewcalc import (
     SearchBudget,
     TwistedSeries,
     bruteforce_twisted_norm,
-    mul,
     quotient_norm,
     slice_quotient_norm,
     twisted_norm,

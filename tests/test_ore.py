@@ -11,6 +11,7 @@ from skewcalc import (
     GaussianRational,
     LaurentOrePoly,
     localizability_probe,
+    TwistedSeries,
     ore_mul,
     quotient_norm,
 )
@@ -63,8 +64,11 @@ def test_unit_laws_and_distributivity(rng, scale2_spec):
 def test_mismatched_specs_rejected(scale2_spec, scale_half_spec):
     f = LaurentOrePoly(scale2_spec, {0: scale2_spec.one()})
     g = LaurentOrePoly(scale_half_spec, {0: scale_half_spec.one()})
-    with pytest.raises(MismatchedBaseError):
-        ore_mul(f, g)
+    # a Laurent polynomial and a series over one spec are different kinds
+    s = TwistedSeries(scale2_spec, {(): scale2_spec.one()})
+    for product in (lambda: ore_mul(f, g), lambda: f * g, lambda: s * f):
+        with pytest.raises(MismatchedBaseError):
+            product()
 
 
 # -- the quotient seminorm of a class ----------------------------------------

@@ -7,7 +7,7 @@ from skewcalc import (
     BaseSpec,
     EntirePoly,
     Exactness,
-    GaussianRational,
+    LaurentOrePoly,
     ScaleAut,
     ShiftAut,
     TwistedSeries,
@@ -119,9 +119,13 @@ def test_grading(rng, scale2_spec):
 
 
 def test_mismatched_specs_rejected(scale2_spec, scale_half_spec):
-    with pytest.raises(MismatchedBaseError):
-        mul(TwistedSeries(scale2_spec, {(): scale2_spec.one()}),
-            TwistedSeries(scale_half_spec, {(): scale_half_spec.one()}))
+    f = TwistedSeries(scale2_spec, {(): scale2_spec.one()})
+    g = TwistedSeries(scale_half_spec, {(): scale_half_spec.one()})
+    # a series and a Laurent polynomial over one spec are different kinds
+    p = LaurentOrePoly(scale2_spec, {0: scale2_spec.one()})
+    for product in (lambda: mul(f, g), lambda: f * g, lambda: f * p):
+        with pytest.raises(MismatchedBaseError):
+            product()
 
 
 # -- slot products -----------------------------------------------------------
