@@ -199,8 +199,8 @@ class _Polynomial(SparseElement):
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
-    def shift_argument(self, s: Fraction):
-        """Exact substitution z -> z - s, as an integer Taylor shift.
+    def shift_argument(self, s: int | Fraction):
+        """Exact substitution z -> z - s (an int or a Fraction), as an integer Taylor shift.
 
         Over one common denominator den, f = sum N_j z^j / den with Gaussian
         integer numerators N_j, and -s = u/v gives
@@ -212,7 +212,7 @@ class _Polynomial(SparseElement):
         n = self.degree()
         if not n:
             return self
-        u, v = Fraction(s).as_integer_ratio()
+        u, v = s.as_integer_ratio()
         u = -u
         parts = {j: self._parts(c) for j, c in self.coeffs.items()}
         den = math.lcm(*(d for _, _, d in parts.values()))
@@ -294,9 +294,9 @@ class FreeSeries(SparseElement):
 # ---------------------------------------------------------------------------
 
 
-# Powers of alpha's parameters are tabled for exponents |e| <= _POWER_SPAN,
-# L * D at the default caps: at most 2 * _POWER_SPAN + 1 entries, however
-# high the degrees and twists a config allows.
+# alpha^k's data (powers of its parameters, or a shift's offset) is tabled
+# for |e| <= _POWER_SPAN, L * D at the default caps: at most 2 * _POWER_SPAN + 1
+# entries, however high the degrees and twists a config allows.
 _POWER_SPAN = 512
 
 
@@ -357,18 +357,25 @@ class ScaleAut:
 
 @dataclass(frozen=True)
 class ShiftAut:
-    """f(z) -> f(z - step); alpha^k shifts by k * step, for every integer k."""
+    """f(z) -> f(z - step); alpha^k shifts by k * step, for every integer k.
+
+    The offset k * step comes from a table keyed by k, as in :class:`ScaleAut`.
+    """
 
     step: Fraction = Fraction(1)
     kind: ClassVar[str] = "shift"
 
     def __post_init__(self):
         object.__setattr__(self, "step", Fraction(self.step))
+        object.__setattr__(self, "_offsets", _Powers(self._offset))
+
+    def _offset(self, k: int) -> Fraction:
+        return k * self.step
 
     def apply(self, el, k: int):
         if k == 0:
             return el
-        return el.shift_argument(k * self.step)
+        return el.shift_argument(self._offsets[k])
 
 
 @dataclass(frozen=True)
@@ -523,7 +530,10 @@ def weighted_seminorm(el: SparseElement, rho: float) -> float:
         raise ValueError("radius must be positive")
     rho = float(rho)
     weight = el._weight
-    return sum(abs(c) * rho ** weight(k) for k, c in el.coeffs.items())
+    total = 0.0
+    for k, c in el.coeffs.items():
+        total += abs(c) * rho ** weight(k)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +600,12 @@ class BaseSpec:
         qs = () if aut.kind == "identity" else (aut.q,) if aut.kind == "scale" else aut.qs
         return all(q.abs2() == 1 for q in qs)
 
+    @cached_property
+    def _scale_modulus(self) -> tuple[bool, float]:
+        """(|q| > 1, |q|) of a scaling automorphism, read once per spec."""
+        q = self.aut.q
+        return q.abs2() > 1, abs(q)
+
     def is_invertible(self, el) -> bool:
         """True for nonzero constants, the units among stored elements."""
         return el.coeffs.keys() == {el._key()}
@@ -631,8 +647,9 @@ class BaseSpec:
         if el.degree() == 0:  # |c| at every radius, also where lam_eff underflows
             return weighted_seminorm(el, lam), Exactness.EXACT
         k_min, k_max = extremal_twists(w)
-        k = k_max if self.aut.q.abs2() > 1 else k_min
-        lam_eff = float(lam) * abs(self.aut.q) ** (-k)
+        grows, modulus = self._scale_modulus
+        k = k_max if grows else k_min
+        lam_eff = float(lam) * modulus ** (-k)
         if not lam_eff:
             raise ArithmeticError(f"the effective radius lambda*|q|^({-k}) underflows"
                                   f" the float range")
@@ -688,21 +705,30 @@ def generic_twisted_upper_bound(
 
     The decomposition (a list of factor tuples of length |w|) must
     reconstruct f exactly through the slot product; otherwise an
-    InvalidDecompositionError is raised.
+    InvalidDecompositionError is raised.  Every tuple is still
+    reconstructed and the sum compared with f, but the sum starts from the
+    first reconstruction, not from a fresh zero.
     """
-    total = spec.zero()
+    total = None
     for factors in decomposition:
         if len(factors) != len(w):
             raise InvalidDecompositionError(
                 f"factor tuple of length {len(factors)} for a word of length {len(w)}"
             )
-        total = total + i_w_apply(spec, w, factors)
-    if total != f:
+        part = i_w_apply(spec, w, factors)
+        if total is not None:
+            total = total + part
+        elif type(part) is spec.element_type:
+            total = part
+        else:  # raises on an element of another kind, as a sum with zero does
+            total = spec.zero() + part
+    if (spec.zero() if total is None else total) != f:
         raise InvalidDecompositionError("decomposition does not reconstruct the element")
+    seminorm = spec.seminorm
     value = 0.0
     for factors in decomposition:
         term = 1.0
         for r in factors:
-            term *= spec.seminorm(r, lam)
+            term *= seminorm(r, lam)
         value += term
     return value

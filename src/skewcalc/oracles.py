@@ -20,6 +20,7 @@ from .words import Word, partial_sums
 
 # the coefficients the oracles draw; none is 0, so every sampled product reaches f
 COEFF_GRID = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3))
+_GRID_SCALARS = tuple(GaussianRational.of(c) for c in COEFF_GRID)
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBu
         return []
     rng = random.Random(budget.seed)
     (degree, coeff), = f.coeffs.items()
-    grid = [GaussianRational.of(c) for c in COEFF_GRID]
     monomial = spec.element_type._trusted
     sums = partial_sums(w)
     out = []
@@ -74,7 +74,7 @@ def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBu
             exponents[i] = rng.randint(0, remaining)
             remaining -= exponents[i]
         exponents[-1] = remaining
-        coeffs = [rng.choice(grid) for _ in exponents]
+        coeffs = [rng.choice(_GRID_SCALARS) for _ in exponents]
         gamma = _monomial_gamma(spec, sums, coeffs, exponents)
         coeffs[-1] = coeffs[-1] * (coeff / gamma)
         factors = [monomial({e: c}) for c, e in zip(coeffs, exponents)]

@@ -60,7 +60,8 @@ class _TwistedMap:
         return True
 
     def _check(self, other):
-        if type(other) is not type(self) or other.spec != self.spec:
+        if type(other) is not type(self) or (other.spec is not self.spec
+                                             and other.spec != self.spec):
             raise MismatchedBaseError("operands live over different base specs")
 
     def __add__(self, other):

@@ -571,11 +571,19 @@ def test_power_tables_equal_direct_powers():
             assert scale.apply(poly, k).coeffs == {m: q ** (k * m) * c
                                                    for m, c in poly.coeffs.items()}
             assert diagonal.apply(series, k).coeffs == expected
+    for step in (Fraction(1), Fraction(-1, 2)):
+        shift = ShiftAut(step)
+        for el in (EntirePoly({0: 2, 1: GaussianRational(1, 1), 3: Fraction(-1, 2)}),
+                   IntervalPoly({0: 1, 2: Fraction(-3, 4), 4: 2})):
+            for k in range(-6, 7):
+                for _ in range(2):
+                    assert shift.apply(el, k) == el.shift_argument(k * step)
 
 
 def test_power_tables_leave_equality_and_hash_alone():
     for make, el in ((lambda: ScaleAut(q_of(2)), EntirePoly({5: 1, 2: 3})),
-                     (lambda: DiagonalAut((q_of(2), q_of("1/2"))), FreeSeries({(0, 1): 1}))):
+                     (lambda: DiagonalAut((q_of(2), q_of("1/2"))), FreeSeries({(0, 1): 1})),
+                     (lambda: ShiftAut(Fraction(-1, 2)), EntirePoly({5: 1, 2: 3}))):
         filled, fresh = make(), make()
         for k in (-3, 2, 5):
             filled.apply(el, k)
@@ -596,6 +604,13 @@ def test_power_tables_stay_bounded():
     for k in range(-2 * span, 2 * span):
         diagonal.apply(FreeSeries({(0, 1): 1}), k)
     assert len(diagonal._powers) == 2 * span  # k = 0 never reaches the table
+    shift = ShiftAut(Fraction(-1, 2))
+    z = IntervalPoly({1: 1})
+    for k in range(-2 * span, 2 * span):
+        shift.apply(z, k)
+    assert shift.apply(z, 2 * span - 1) == z.shift_argument((2 * span - 1) * Fraction(-1, 2))
+    assert len(shift._offsets) == 2 * span
+    assert all(abs(k) <= span for k in shift._offsets)
 
 
 def test_scale_aut_rejects_zero():
@@ -848,6 +863,34 @@ def test_generic_upper_bound_rejects_bad_decomposition(scale2_spec):
             scale2_spec, z2, (1, 2), 1,
             [(EntirePoly.one(), EntirePoly({2: Fraction(1, 8)})),
              (EntirePoly({2: Fraction(1, 4)}), EntirePoly.one())],
+        )
+
+
+def test_generic_twisted_upper_bound_error_paths(scale2_spec):
+    z2 = EntirePoly({2: 1})
+    one = EntirePoly.one()
+    # a factor tuple of another kind meets the sum and raises
+    for decomposition in ([(FreeSeries({(0,): 1}),)], [(FreeSeries({(0,): 1}),)] * 2):
+        with pytest.raises(bases.MismatchedBaseError):
+            generic_twisted_upper_bound(scale2_spec, z2, (1,), 1, decomposition)
+    # no tuples sum to zero, which misses a nonzero f
+    with pytest.raises(InvalidDecompositionError):
+        generic_twisted_upper_bound(scale2_spec, z2, (1, 2), 1, [])
+    # ... and reconstructs the zero on the empty word
+    value = generic_twisted_upper_bound(scale2_spec, EntirePoly.zero(), (), 1, [])
+    assert repr(value) == "0.0"
+    # the empty word admits no factor tuple, not even the empty one
+    with pytest.raises(ValueError) as raised:
+        generic_twisted_upper_bound(scale2_spec, EntirePoly.zero(), (), 1, [()])
+    assert type(raised.value) is ValueError
+    # a tuple of the wrong length, after a valid one
+    with pytest.raises(InvalidDecompositionError):
+        generic_twisted_upper_bound(scale2_spec, z2, (1, 2), 1, [(one, z2), (one,)])
+    # two tuples whose slot products sum to 2 z^2, not to f
+    with pytest.raises(InvalidDecompositionError):
+        generic_twisted_upper_bound(
+            scale2_spec, z2, (1, 2), 1,
+            [(z2, one), (one, EntirePoly({2: Fraction(1, 4)}))],
         )
 
 

@@ -128,6 +128,23 @@ def test_mismatched_specs_rejected(scale2_spec, scale_half_spec):
             product()
 
 
+def test_equal_distinct_specs_combine():
+    # two equal but distinct spec objects combine; unequal ones still raise
+    def spec(q):
+        return BaseSpec("entire", ScaleAut(q_of(q)))
+
+    for kind, key in ((TwistedSeries, (1,)), (LaurentOrePoly, 1)):
+        f = kind(spec(2), {key: EntirePoly({1: 1})})
+        g = kind(spec(2), {key: EntirePoly({0: 3})})
+        assert f.spec == g.spec and f.spec is not g.spec
+        assert (f + g).terms == {key: EntirePoly({0: 3, 1: 1})}
+        assert f * g == kind(f.spec, {key + key: EntirePoly({1: 3})})
+        h = kind(spec(3), {key: EntirePoly({0: 3})})
+        for combine in (lambda: f + h, lambda: f * h):
+            with pytest.raises(MismatchedBaseError):
+                combine()
+
+
 # -- slot products -----------------------------------------------------------
 
 
