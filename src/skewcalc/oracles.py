@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bases import BaseSpec, generic_twisted_upper_bound
 from .scalars import GaussianRational
@@ -21,6 +22,8 @@ from .words import Word, partial_sums
 # the coefficients the oracles draw; none is 0, so every sampled product reaches f
 COEFF_GRID = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3))
 _GRID_SCALARS = tuple(GaussianRational.of(c) for c in COEFF_GRID)
+# q^e memoized here, so that the oracle reads no table of the automorphism
+_q_power = lru_cache(maxsize=256)(lambda q, e: q ** e)
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ def _monomial_gamma(spec: BaseSpec, sums: list, coeffs, exponents) -> GaussianRa
     for c in coeffs[1:]:
         gamma = gamma * c
     if spec.aut.kind == "scale":
-        gamma = gamma * spec.aut.q ** sum(p * e for p, e in zip(sums, exponents))
+        gamma = gamma * _q_power(spec.aut.q, sum(p * e for p, e in zip(sums, exponents)))
     return gamma
 
 
@@ -102,9 +105,9 @@ def slice_quotient_norm(
 ) -> float:
     """Minimize ||f + g|| over a finite slice of the relator ideal.
 
-    The slice contains random monomial * relator * monomial combinations
-    and the structured family f * ((x1 x2)^l - 1).  An upper bound on
-    the true quotient seminorm.
+    The slice contains random sums of c * u * relator * v, u and v monomials
+    with c folded into u's coefficient, and the structured family
+    f * ((x1 x2)^l - 1).  An upper bound on the true quotient seminorm.
     """
     from .quotient import relators
 
@@ -120,27 +123,27 @@ def slice_quotient_norm(
         padded = mul(padded, pad)
         if padded.truncated:
             break
-        value, _ = twisted_norm(padded, lam, rho)
-        best = min(best, value)
+        best = min(best, twisted_norm(padded, lam, rho)[0])
 
     rng = random.Random(budget.seed)
     r12, r21 = relators(spec, **caps)
+    # COEFF_GRID in the base's scalar field, drawn by the same index
+    grid = COEFF_GRID if spec.kind == "interval" else _GRID_SCALARS
 
-    def random_monomial_series():
+    def draw():  # a monomial's letters, coefficient and degree
         letters = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, max(1, cap // 2))))
-        coeff = spec.monomial(rng.choice(COEFF_GRID), rng.randint(0, 2))
-        return TwistedSeries(spec, {letters: coeff}, **caps)
+        return letters, rng.choice(grid), rng.randint(0, 2)
+
+    def series(letters, coeff, degree):
+        return TwistedSeries(spec, {letters: spec.element_type._trusted({degree: coeff})}, **caps)
 
     for _ in range(budget.max_samples):
-        g = TwistedSeries(spec, **caps)
+        candidate = wide
         for _ in range(rng.randint(1, 3)):
-            u, v = random_monomial_series(), random_monomial_series()
+            (letters, coeff, degree), v = draw(), draw()
             rel = r12 if rng.random() < 0.5 else r21
-            g = g + mul(mul(u, rel), v).scale(rng.choice(COEFF_GRID))
-        candidate = wide + g
-        if candidate.truncated:
-            continue
-        value, _ = twisted_norm(candidate, lam, rho)
-        best = min(best, value)
+            u = series(letters, rng.choice(grid) * coeff, degree)  # (c u) r v = c (u r v)
+            candidate = candidate + mul(mul(u, rel), series(*v))
+        if not candidate.truncated:
+            best = min(best, twisted_norm(candidate, lam, rho)[0])
     return best
-

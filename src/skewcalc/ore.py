@@ -83,9 +83,6 @@ class _TwistedMap:
     def __neg__(self):
         return self._derived({k: -a for k, a in self.terms.items()}, self.truncated)
 
-    def scale(self, c):
-        return self._derived({k: a.scale(c) for k, a in self.terms.items()}, self.truncated)
-
     def _row(self, k1, a, terms: dict, out: dict) -> bool:
         """Add the term a at k1 times each term b at k2 of terms into out:
         a * alpha^{twist(k1)}(b) at k1 + k2, the rule x a = alpha(a) x.

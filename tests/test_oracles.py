@@ -8,19 +8,23 @@ from skewcalc import (
     BaseSpec,
     EntirePoly,
     GaussianRational,
+    IdentityAut,
     ScaleAut,
     SearchBudget,
+    ShiftAut,
     TwistedSeries,
     bruteforce_twisted_norm,
+    mul,
     quotient_norm,
     slice_quotient_norm,
     twisted_norm,
 )
 from skewcalc.bases import i_w_apply
 from skewcalc.oracles import COEFF_GRID, _monomial_gamma, _random_monomial_decompositions
+from skewcalc.quotient import relators
 from skewcalc.words import all_words, partial_sums
 
-from conftest import q_of, rand_entire, rand_series, rand_word
+from conftest import q_of, rand_entire, rand_interval_poly, rand_series, rand_word
 
 CAPS = dict(max_word_len=24, max_degree=32)
 
@@ -139,3 +143,58 @@ def test_slice_quotient_norm_improves_on_raw_norm(scale2_spec):
     assert sliced < raw
     assert sliced < 1e-3
 
+
+def _reference_slice_norm(f, lam, rho, cap, budget):
+    """The slice bound with every sample built apart: monomials through the
+    public constructors from a Fraction, the sum of c * (u * r * v) kept in
+    a separate g, each product scaled term by term, and f + g at the end."""
+    spec = f.spec
+    caps = dict(max_word_len=max(f.max_word_len, 2 * cap + 4), max_degree=f.max_degree)
+    wide = TwistedSeries(spec, f.terms, **caps)
+    best, _ = twisted_norm(wide, lam, rho)
+    pad = TwistedSeries(spec, {(1, 2): spec.one()}, **caps)
+    padded = wide
+    for _ in range(cap):
+        padded = mul(padded, pad)
+        if padded.truncated:
+            break
+        best = min(best, twisted_norm(padded, lam, rho)[0])
+    rng = random.Random(budget.seed)
+    r12, r21 = relators(spec, **caps)
+
+    def random_monomial_series():
+        letters = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, max(1, cap // 2))))
+        coeff = spec.monomial(rng.choice(COEFF_GRID), rng.randint(0, 2))
+        return TwistedSeries(spec, {letters: coeff}, **caps)
+
+    def scaled(p, c):
+        return TwistedSeries(spec, {k: a.scale(c) for k, a in p.terms.items()},
+                             truncated=p.truncated, **caps)
+
+    for _ in range(budget.max_samples):
+        g = TwistedSeries(spec, **caps)
+        for _ in range(rng.randint(1, 3)):
+            u, v = random_monomial_series(), random_monomial_series()
+            rel = r12 if rng.random() < 0.5 else r21
+            g = g + scaled(mul(mul(u, rel), v), rng.choice(COEFF_GRID))
+        candidate = wide + g
+        if not candidate.truncated:
+            best = min(best, twisted_norm(candidate, lam, rho)[0])
+    return best
+
+
+def test_slice_samples_match_reference(rng, interval_shift_spec):
+    # the same random draws in the same order as with every sample built apart
+    specs = _scale_specs() + [BaseSpec("entire", ShiftAut()), BaseSpec("entire", IdentityAut())]
+    for spec in specs + [interval_shift_spec]:
+        for seed in range(4):
+            budget = SearchBudget(max_samples=15, seed=seed)
+            if spec.kind == "interval":
+                terms = {rand_word(rng, 2): rand_interval_poly(rng, 3) for _ in range(2)}
+                f = TwistedSeries(spec, terms, max_word_len=8, max_degree=8)
+            else:
+                f = rand_series(rng, spec, 3, 2, 3, max_word_len=8, max_degree=rng.choice((4, 64)))
+            cap = rng.randint(1, 5)
+            for lam, rho in ((1, 1.5), (1, 4.0), (2, 1.0)):
+                expected = _reference_slice_norm(f, lam, rho, cap, budget)
+                assert slice_quotient_norm(f, lam, rho, cap, budget) == expected, (spec, seed, cap)

@@ -1,12 +1,16 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from skewcalc import (
     BaseSpec,
+    DiagonalAut,
     EntirePoly,
     Exactness,
+    FreeSeries,
+    GaussianRational,
     LaurentOrePoly,
     ScaleAut,
     ShiftAut,
@@ -279,3 +283,29 @@ def test_zero_valued_upper_bounds_stay_exact(shift_entire_spec):
     f = TwistedSeries(shift_entire_spec, {(1,) * 6: EntirePoly({1: 1})}, **CAPS)
     value, tag = twisted_norm(f, 1, 2.0)
     assert (value, tag) == (0.0, Exactness.EXACT)
+
+
+@pytest.mark.parametrize("q", [2, Fraction(1, 2), Fraction(3, 2), GaussianRational(1, 1)],
+                         ids=["2", "1/2", "3/2", "1+i"])
+def test_scale_is_the_diagonal_action_on_one_generator(rng, q):
+    # z^m <-> g1^m carries entire/scale(q) onto free(1)/diagonal((q,)): the
+    # per-word seminorms and the twisted norms agree (their tags do not yet)
+    entire = BaseSpec("entire", ScaleAut(GaussianRational.of(q)))
+    free = BaseSpec("free", DiagonalAut((GaussianRational.of(q),)), ngens=1)
+
+    def on_free(a):
+        return FreeSeries({(0,) * m: c for m, c in a.coeffs.items()})
+
+    for _ in range(40):
+        f = rand_series(rng, entire, 3, 4, 4, **CAPS)
+        g = TwistedSeries(free, {w: on_free(a) for w, a in f.terms.items()}, **CAPS)
+        a = rand_entire(rng)
+        for lam in (Fraction(1, 2), 1, 2):
+            for w in all_words(4):
+                expected, _ = entire.twisted_seminorm(a, w, lam)
+                value, _ = free.twisted_seminorm(on_free(a), w, lam)
+                assert math.isclose(value, expected, rel_tol=1e-12), (w, lam)
+            for rho in (0.5, 1.5):
+                expected, _ = twisted_norm(f, lam, rho)
+                value, _ = twisted_norm(g, lam, rho)
+                assert math.isclose(value, expected, rel_tol=1e-12), (lam, rho)
