@@ -316,16 +316,30 @@ class _Powers(dict):
         return value
 
 
+class _Automorphism:
+    """alpha^k on elements (``apply``) and the step a * alpha^k(b) of a slot product.
+
+    ``twisted_mul`` builds alpha^k(b) and multiplies, unless a kind has a
+    one-pass form.
+    """
+
+    def twisted_mul(self, a, b, k: int):
+        return a * self.apply(b, k)
+
+
 @dataclass(frozen=True)
-class IdentityAut:
+class IdentityAut(_Automorphism):
     kind: ClassVar[str] = "identity"
 
     def apply(self, el, k: int):
         return el
 
+    def twisted_mul(self, a, b, k: int):
+        return a * b
+
 
 @dataclass(frozen=True)
-class ScaleAut:
+class ScaleAut(_Automorphism):
     """z -> q z on coefficients of EntirePoly: c_m -> q^{km} c_m.
 
     q^e comes from a table keyed by e = km (:class:`_Powers`), which is no
@@ -354,9 +368,19 @@ class ScaleAut:
         powers = self._powers
         return el._trusted({m: powers[k * m] * c for m, c in el.coeffs.items()})
 
+    def twisted_mul(self, a, b, k: int):
+        """a * alpha^k(b); for one-term a = c1 z^m1 and b = c2 z^m2, the term
+        c1 (q^(k m2) c2) z^(m1 + m2) in one pass, never building alpha^k(b)."""
+        if (k and type(a) is EntirePoly and type(b) is EntirePoly
+                and len(a.coeffs) == 1 and len(b.coeffs) == 1):
+            (m1, c1), = a.coeffs.items()
+            (m2, c2), = b.coeffs.items()
+            return a._trusted({m1 + m2: c1 * (self._powers[k * m2] * c2)})
+        return a * self.apply(b, k)
+
 
 @dataclass(frozen=True)
-class ShiftAut:
+class ShiftAut(_Automorphism):
     """f(z) -> f(z - step); alpha^k shifts by k * step, for every integer k.
 
     The offset k * step comes from a table keyed by k, as in :class:`ScaleAut`.
@@ -379,7 +403,7 @@ class ShiftAut:
 
 
 @dataclass(frozen=True)
-class DiagonalAut:
+class DiagonalAut(_Automorphism):
     """Diagonal action on FreeSeries: generator i is scaled by qs[i].
 
     The factors q_i^k come from a table keyed by k, as in :class:`ScaleAut`.
@@ -682,15 +706,21 @@ class BaseSpec:
 
 
 def i_w_apply(spec: BaseSpec, w: Word, factors):
-    """Collapse a factor tuple along a word: x_1 * prod alpha^{p(w,i-1)}(x_i)."""
+    """Collapse a factor tuple along a word: x_1 * prod alpha^{p(w,i-1)}(x_i).
+
+    Each step a * alpha^p(b) is one operation of the automorphism
+    (``twisted_mul``), which under scaling with one-term operands never
+    builds alpha^p(b).
+    """
     if len(factors) != len(w):
         raise ValueError(f"expected {len(w)} factors, got {len(factors)}")
     if not w:
         raise ValueError("the empty word admits no factor tuple")
     sums = partial_sums(w)
+    step = spec.aut.twisted_mul
     out = factors[0]
     for i in range(1, len(w)):
-        out = out * spec.aut.apply(factors[i], sums[i])
+        out = step(out, factors[i], sums[i])
     return out
 
 

@@ -43,43 +43,43 @@ def _slot_decompositions(spec: BaseSpec, f, w: Word):
     return out
 
 
-def _monomial_gamma(spec: BaseSpec, sums: list, coeffs, exponents) -> GaussianRational:
-    """Top coefficient of the slot product of monomials c_i z^(e_i).
-
-    alpha^p maps c z^e to c q^(p e) z^e under scaling, and to c (z - p s)^e,
-    whose top coefficient is c, under a shift or the identity; so the
-    product's z^(sum e_i) coefficient is prod c_i, times q^(sum p_i e_i)
-    under scaling, where p_i = sums[i] is the twist of slot i.
-    """
-    gamma = coeffs[0]
-    for c in coeffs[1:]:
-        gamma = gamma * c
-    if spec.aut.kind == "scale":
-        gamma = gamma * _q_power(spec.aut.q, sum(p * e for p, e in zip(sums, exponents)))
-    return gamma
-
-
 def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBudget):
+    """Sampled one-term decompositions c_i z^(e_i) of a monomial f = c z^d.
+
+    alpha^p maps c z^e to c q^(p e) z^e under scaling and keeps it under
+    the identity, so the slot product of the monomials is
+    prod c_i q^twist z^(sum e_i), twist = sum p_i e_i with p_i = sums[i]
+    the twist of slot i (q = 1 stands for the identity).  The last
+    coefficient is solved from it: c_n = c / (c_1 ... c_(n-1) q^twist).
+    A c_n is still drawn, so every slot takes one draw from the stream.
+    """
     # a product of monomial factors is a monomial only where the
     # automorphism keeps monomials monomials: a shift spreads c z^e over
     # lower degrees, which the top coefficient alone cannot cancel
-    if spec.kind != "entire" or spec.aut.kind == "shift" or len(f.coeffs) != 1:
+    aut = spec.aut
+    if spec.kind != "entire" or aut.kind == "shift" or len(f.coeffs) != 1:
         return []
+    q = aut.q if aut.kind == "scale" else GaussianRational.of(1)
     rng = random.Random(budget.seed)
     (degree, coeff), = f.coeffs.items()
     monomial = spec.element_type._trusted
     sums = partial_sums(w)
+    last = len(w) - 1
     out = []
     for _ in range(budget.max_samples):
         exponents = [0] * len(w)
         remaining = degree
-        for i in range(len(w) - 1):
-            exponents[i] = rng.randint(0, remaining)
-            remaining -= exponents[i]
+        twist = 0
+        for i in range(last):
+            exponents[i] = e = rng.randint(0, remaining)
+            remaining -= e
+            twist += sums[i] * e
         exponents[-1] = remaining
         coeffs = [rng.choice(_GRID_SCALARS) for _ in exponents]
-        gamma = _monomial_gamma(spec, sums, coeffs, exponents)
-        coeffs[-1] = coeffs[-1] * (coeff / gamma)
+        product = _q_power(q, twist + sums[last] * remaining)
+        for c in coeffs[:last]:
+            product = product * c
+        coeffs[-1] = coeff / product
         factors = [monomial({e: c}) for c, e in zip(coeffs, exponents)]
         out.append([tuple(factors)])
     return out
@@ -108,10 +108,15 @@ def slice_quotient_norm(
     The slice contains random sums of c * u * relator * v, u and v monomials
     with c folded into u's coefficient, and the structured family
     f * ((x1 x2)^l - 1).  An upper bound on the true quotient seminorm.
+    A base whose keys are not integer degrees (the free base) raises
+    ValueError before any sample is drawn.
     """
     from .quotient import relators
 
     spec = f.spec
+    if spec.element_type._key is not int:
+        raise ValueError(f"the ideal slice draws monomials c z^m; the {spec.kind} base"
+                         " has no integer degree keys")
     caps = dict(max_word_len=max(f.max_word_len, 2 * cap + 4), max_degree=f.max_degree)
     wide = TwistedSeries(spec, f.terms, **caps)
     best, _ = twisted_norm(wide, lam, rho)

@@ -830,6 +830,48 @@ def test_i_w_apply_twists_later_slots(scale2_spec):
     assert out == EntirePoly({1: 2})
 
 
+def _two_step_product(spec, w, factors):
+    """The slot product with alpha^p(x) built before each product."""
+    out = factors[0]
+    for x, p in zip(factors[1:], partial_sums(w)[1:]):
+        out = out * spec.aut.apply(x, p)
+    return out
+
+
+def test_i_w_apply_equals_the_two_step_product(rng):
+    # each step a * alpha^p(b) in one operation, against alpha^p(b) built
+    # and then multiplied: the same terms, in the same order
+    specs = [BaseSpec("entire", ScaleAut(q)) for q in (q_of(2), q_of("1/2"), GaussianRational(1, 1))]
+    specs += [BaseSpec("entire", IdentityAut()), BaseSpec("entire", ShiftAut()),
+              BaseSpec("interval", ShiftAut()),
+              BaseSpec("free", DiagonalAut((q_of(2), q_of("1/2"))), ngens=2)]
+    draw = {"entire": rand_entire, "interval": rand_interval_poly, "free": rand_free}
+    for spec in specs:
+        for w in all_words(4):
+            for _ in range(6 if w else 0):
+                # one-term and multi-term factors, mixed within a tuple
+                factors = tuple(draw[spec.kind](rng, n_terms=rng.choice((1, 4))) for _ in w)
+                out = i_w_apply(spec, w, factors)
+                expected = _two_step_product(spec, w, factors)
+                assert out == expected, (spec, w, factors)
+                assert list(out.coeffs) == list(expected.coeffs), (spec, w, factors)
+
+
+def test_i_w_apply_keeps_its_errors(scale2_spec, identity_entire_spec):
+    z, g = EntirePoly({1: 1}), FreeSeries({(0,): 1})
+    # sums of (1, 2, 1) are 0, 1, 0: a twisted step, then an untwisted one
+    for spec in (scale2_spec, identity_entire_spec):
+        with pytest.raises(bases.MismatchedBaseError):
+            i_w_apply(spec, (1, 2, 1), (g, z, z))
+        with pytest.raises(bases.MismatchedBaseError):
+            i_w_apply(spec, (1, 2, 1), (z, z, g))
+    with pytest.raises(bases.MismatchedBaseError):
+        i_w_apply(identity_entire_spec, (1, 2), (z, IntervalPoly({1: 1})))
+    # the scaling automorphism acts on EntirePoly alone
+    with pytest.raises(TypeError, match="acts on EntirePoly"):
+        i_w_apply(scale2_spec, (1, 2), (z, IntervalPoly({1: 1})))
+
+
 def test_generic_upper_bound_matches_closed_form(scale2_spec):
     z2 = EntirePoly({2: 1})
     quarter = EntirePoly({2: Fraction(1, 4)})

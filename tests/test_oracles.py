@@ -7,6 +7,7 @@ import pytest
 from skewcalc import (
     BaseSpec,
     EntirePoly,
+    FreeSeries,
     GaussianRational,
     IdentityAut,
     ScaleAut,
@@ -20,7 +21,7 @@ from skewcalc import (
     twisted_norm,
 )
 from skewcalc.bases import i_w_apply
-from skewcalc.oracles import COEFF_GRID, _monomial_gamma, _random_monomial_decompositions
+from skewcalc.oracles import COEFF_GRID, _random_monomial_decompositions
 from skewcalc.quotient import relators
 from skewcalc.words import all_words, partial_sums
 
@@ -75,11 +76,12 @@ def _scale_specs():
     return [BaseSpec("entire", ScaleAut(q)) for q in qs]
 
 
-def test_gamma_from_exponents_equals_probe(shift_entire_spec, identity_entire_spec):
-    # the top coefficient of the slot product of monomials, read off the
-    # exponents, against the slot product itself
+def test_solved_last_coefficient_reconstructs_f(identity_entire_spec):
+    # c_n = c / (c_1 ... c_(n-1) q^(sum p_i e_i)), the oracle's solved last
+    # coefficient, makes the slot product of the monomials c_i z^(e_i)
+    # exactly c z^(sum e_i); under the identity no power of q enters
     grid = [GaussianRational(*c) for c in ((1, 0), (-1, 0), (Fraction(1, 2), 0), (3, 0), (0, 1), (1, -2))]
-    for spec in _scale_specs() + [shift_entire_spec, identity_entire_spec]:
+    for spec in _scale_specs() + [identity_entire_spec]:
         for w in all_words(4):
             if not w:
                 continue
@@ -90,9 +92,16 @@ def test_gamma_from_exponents_equals_probe(shift_entire_spec, identity_entire_sp
                     bounds = (-1,) + cut + (degree + len(w) - 1,)
                     exponents = [b - a - 1 for a, b in zip(bounds, bounds[1:])]
                     coeffs = [grid[(i + degree + len(cut)) % len(grid)] for i in range(len(w))]
+                    coeff = coeffs[-1]
+                    product = GaussianRational.of(1)
+                    for c in coeffs[:-1]:
+                        product = product * c
+                    if spec.aut.kind == "scale":
+                        product = product * spec.aut.q ** sum(p * e for p, e in zip(sums, exponents))
+                    coeffs[-1] = coeff / product
                     factors = tuple(EntirePoly({e: c}) for c, e in zip(coeffs, exponents))
-                    probe = i_w_apply(spec, w, factors).coeffs[degree]
-                    assert _monomial_gamma(spec, sums, coeffs, exponents) == probe, (spec, w, exponents)
+                    f = EntirePoly({degree: coeff})
+                    assert i_w_apply(spec, w, factors) == f, (spec, w, exponents)
 
 
 def _probe_decompositions(spec, f, w, budget):
@@ -132,6 +141,13 @@ def test_slice_quotient_norm_upper_bounds_quotient(rng, scale2_spec):
         for lam, rho in ((1, 1.5), (1, 4.0), (2, 1.0)):
             sliced = slice_quotient_norm(f, lam, rho, 6, budget)
             assert sliced >= quotient_norm(f, lam, rho) - 1e-9
+
+
+def test_slice_quotient_norm_rejects_the_free_base(free_diag_spec):
+    # the slice draws integer degrees; a free base has word keys
+    f = TwistedSeries(free_diag_spec, {(1,): FreeSeries({(0,): 1})}, **CAPS)
+    with pytest.raises(ValueError, match="the free base has no integer degree keys"):
+        slice_quotient_norm(f, 1, 1.5, 4, SearchBudget(max_samples=5))
 
 
 def test_slice_quotient_norm_improves_on_raw_norm(scale2_spec):
