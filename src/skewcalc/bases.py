@@ -370,12 +370,23 @@ class ScaleAut(_Automorphism):
 
     def twisted_mul(self, a, b, k: int):
         """a * alpha^k(b); for one-term a = c1 z^m1 and b = c2 z^m2, the term
-        c1 (q^(k m2) c2) z^(m1 + m2) in one pass, never building alpha^k(b)."""
+        c1 q^(k m2) c2 z^(m1 + m2) in one pass, never building alpha^k(b).
+
+        The coefficient is one product of the three Gaussian-integer
+        numerators over d1 dq d2, reduced once: the same normalized triple
+        as the two scalar products, which each reduce.
+        """
         if (k and type(a) is EntirePoly and type(b) is EntirePoly
                 and len(a.coeffs) == 1 and len(b.coeffs) == 1):
             (m1, c1), = a.coeffs.items()
             (m2, c2), = b.coeffs.items()
-            return a._trusted({m1 + m2: c1 * (self._powers[k * m2] * c2)})
+            qe = self._powers[k * m2]
+            a1, b1 = c1._a, c1._b
+            aq, bq = qe._a, qe._b
+            re, im = a1 * aq - b1 * bq, a1 * bq + b1 * aq
+            a2, b2 = c2._a, c2._b
+            return a._trusted({m1 + m2: _reduced(re * a2 - im * b2, re * b2 + im * a2,
+                                                 c1._d * qe._d * c2._d)})
         return a * self.apply(b, k)
 
 
@@ -735,9 +746,14 @@ def generic_twisted_upper_bound(
 
     The decomposition (a list of factor tuples of length |w|) must
     reconstruct f exactly through the slot product; otherwise an
-    InvalidDecompositionError is raised.  Every tuple is still
-    reconstructed and the sum compared with f, but the sum starts from the
-    first reconstruction, not from a fresh zero.
+    InvalidDecompositionError is raised, whatever lam is.  Every tuple is
+    still reconstructed and the sum compared with f, but the sum starts
+    from the first reconstruction, not from a fresh zero.  Only then is
+    lam checked, once (:meth:`BaseSpec.check_index`), and converted once:
+    each factor's seminorm is :func:`weighted_seminorm` at float(lam)
+    (which rejects a lam that rounds to 0.0), or the interval sup-norm
+    over [-lam, lam].  An empty decomposition (of the zero) bounds by 0.0
+    and reads no lam.
     """
     total = None
     for factors in decomposition:
@@ -754,11 +770,17 @@ def generic_twisted_upper_bound(
             total = spec.zero() + part
     if (spec.zero() if total is None else total) != f:
         raise InvalidDecompositionError("decomposition does not reconstruct the element")
-    seminorm = spec.seminorm
+    if not decomposition:
+        return 0.0
+    spec.check_index(lam)
+    if spec.kind == "interval":
+        seminorm, index = interval_seminorm, (-lam, lam)
+    else:
+        seminorm, index = weighted_seminorm, float(lam)
     value = 0.0
     for factors in decomposition:
         term = 1.0
         for r in factors:
-            term *= seminorm(r, lam)
+            term *= seminorm(r, index)
         value += term
     return value

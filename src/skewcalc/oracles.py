@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bases import BaseSpec, generic_twisted_upper_bound
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _reduced
 from .tensor import TwistedSeries, mul, twisted_norm
 from .words import Word, partial_sums
 
@@ -50,8 +50,10 @@ def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBu
     the identity, so the slot product of the monomials is
     prod c_i q^twist z^(sum e_i), twist = sum p_i e_i with p_i = sums[i]
     the twist of slot i (q = 1 stands for the identity).  The last
-    coefficient is solved from it: c_n = c / (c_1 ... c_(n-1) q^twist).
-    A c_n is still drawn, so every slot takes one draw from the stream.
+    coefficient is solved from it: c_n = c / (c_1 ... c_(n-1) q^twist),
+    with the integer triples of q^twist and c_1 .. c_(n-1) multiplied
+    out unreduced and the quotient reduced once.  A c_n is still drawn,
+    so every slot takes one draw from the stream.
     """
     # a product of monomial factors is a monomial only where the
     # automorphism keeps monomials monomials: a shift spreads c z^e over
@@ -60,26 +62,47 @@ def _random_monomial_decompositions(spec: BaseSpec, f, w: Word, budget: SearchBu
     if spec.kind != "entire" or aut.kind == "shift" or len(f.coeffs) != 1:
         return []
     q = aut.q if aut.kind == "scale" else GaussianRational.of(1)
-    rng = random.Random(budget.seed)
+    # randint(0, r) is Random._randbelow(r + 1) and choice(seq) is
+    # seq[_randbelow(len(seq))]; the loops below re-implement _randbelow(n),
+    # getrandbits(n.bit_length()) until a value is below n: the same stream
+    getrandbits = random.Random(budget.seed).getrandbits
     (degree, coeff), = f.coeffs.items()
+    ca, cb, cd = coeff._a, coeff._b, coeff._d
     monomial = spec.element_type._trusted
     sums = partial_sums(w)
     last = len(w) - 1
+    grid = _GRID_SCALARS
+    size = len(grid)
+    size_bits = size.bit_length()
     out = []
     for _ in range(budget.max_samples):
         exponents = [0] * len(w)
         remaining = degree
         twist = 0
         for i in range(last):
-            exponents[i] = e = rng.randint(0, remaining)
+            bits = (remaining + 1).bit_length()
+            e = getrandbits(bits)
+            while e > remaining:
+                e = getrandbits(bits)
+            exponents[i] = e
             remaining -= e
             twist += sums[i] * e
         exponents[-1] = remaining
-        coeffs = [rng.choice(_GRID_SCALARS) for _ in exponents]
-        product = _q_power(q, twist + sums[last] * remaining)
+        coeffs = []
+        for _ in exponents:
+            j = getrandbits(size_bits)
+            while j >= size:
+                j = getrandbits(size_bits)
+            coeffs.append(grid[j])
+        qe = _q_power(q, twist + sums[last] * remaining)
+        pa, pb, pd = qe._a, qe._b, qe._d
         for c in coeffs[:last]:
-            product = product * c
-        coeffs[-1] = coeff / product
+            a, b = c._a, c._b
+            pa, pb = pa * a - pb * b, pa * b + pb * a
+            pd *= c._d
+        # c / ((pa + pb i)/pd) = c pd (pa - pb i) / (pa^2 + pb^2)
+        coeffs[-1] = _reduced((ca * pa + cb * pb) * pd, (cb * pa - ca * pb) * pd,
+                              cd * (pa * pa + pb * pb))
         factors = [monomial({e: c}) for c, e in zip(coeffs, exponents)]
         out.append([tuple(factors)])
     return out

@@ -15,9 +15,11 @@ powers) goes through binary64 floats.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 _gcd = math.gcd
+_MIN_NORMAL = sys.float_info.min
 _new = object.__new__
 # Types whose as_integer_ratio() is in lowest terms, and the only other
 # operands + - * accept; any other type gets NotImplemented, so that its
@@ -125,7 +127,15 @@ class GaussianRational:
     def __abs__(self) -> float:
         # int / int is correctly rounded, as float(Fraction) is
         a, b, d = self._a, self._b, self._d
-        return math.sqrt((a * a + b * b) / (d * d))
+        try:
+            square = (a * a + b * b) / (d * d)
+            if square >= _MIN_NORMAL:
+                return math.sqrt(square)
+        except OverflowError:  # int / int raises where it would round to inf
+            pass
+        # |c|^2 overflows or is subnormal, though |c| itself may be a
+        # normal float; a / d overflows only where |c| does
+        return math.hypot(a / d, b / d)
 
     def is_zero(self) -> bool:
         return not self._a and not self._b

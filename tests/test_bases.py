@@ -855,6 +855,21 @@ def test_i_w_apply_equals_the_two_step_product(rng):
                 expected = _two_step_product(spec, w, factors)
                 assert out == expected, (spec, w, factors)
                 assert list(out.coeffs) == list(expected.coeffs), (spec, w, factors)
+    # one-term scaled operands whose twist k m lies beyond the power table,
+    # with denominators other than 1 in every factor and in q = 1/2
+    big = bases._POWER_SPAN // 2 + 1
+    for spec in specs[:3]:
+        for w in all_words(4):
+            if len(w) < 2:
+                continue
+            for degree in (1, big, 3 * big):
+                factors = tuple(EntirePoly({rng.choice((0, degree)): GaussianRational(
+                    Fraction(rng.choice((-5, 2, 3)), rng.choice((3, 7))),
+                    Fraction(rng.choice((0, 1, -4)), rng.choice((2, 9))))}) for _ in w)
+                out = i_w_apply(spec, w, factors)
+                expected = _two_step_product(spec, w, factors)
+                assert out == expected, (spec, w, factors)
+                assert list(out.coeffs) == list(expected.coeffs), (spec, w, factors)
 
 
 def test_i_w_apply_keeps_its_errors(scale2_spec, identity_entire_spec):
@@ -934,6 +949,30 @@ def test_generic_twisted_upper_bound_error_paths(scale2_spec):
             scale2_spec, z2, (1, 2), 1,
             [(z2, one), (one, EntirePoly({2: Fraction(1, 4)}))],
         )
+
+
+def test_generic_upper_bound_checks_the_decomposition_before_the_index(
+        scale2_spec, free_diag_spec, interval_shift_spec):
+    z2 = EntirePoly({2: 1})
+    # a tuple that does not rebuild f is that error at every lam
+    for lam in (1, 0, -1):
+        with pytest.raises(InvalidDecompositionError):
+            generic_twisted_upper_bound(scale2_spec, z2, (1, 2), lam,
+                                        [(EntirePoly.one(), EntirePoly.one())])
+    # lam <= 0 on a valid decomposition: each base's index error
+    g, p = FreeSeries({(0,): 1}), IntervalPoly({1: 1})
+    cases = [(scale2_spec, z2, (EntirePoly.one(), EntirePoly({2: Fraction(1, 4)})),
+              "radius must be positive"),
+             (free_diag_spec, g, (g, FreeSeries.one()), "radius must be positive"),
+             (interval_shift_spec, p, (p, IntervalPoly.one()), "half-width must be positive")]
+    for spec, f, factors, message in cases:
+        assert generic_twisted_upper_bound(spec, f, (1, 2), 1, [factors]) > 0
+        for lam in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match=message) as raised:
+                generic_twisted_upper_bound(spec, f, (1, 2), lam, [factors])
+            assert type(raised.value) is ValueError
+    # the empty decomposition of the zero takes no seminorm, so reads no lam
+    assert repr(generic_twisted_upper_bound(scale2_spec, EntirePoly.zero(), (1, 2), -1, [])) == "0.0"
 
 
 def test_exactness_ordering_on_sampled_decompositions(rng, scale2_spec):

@@ -348,6 +348,16 @@ def test_vanishing_underflow_is_not_a_certificate(capsys):
     assert (code, out.strip()) == (0, "RapidDecayObserved")
 
 
+def test_a_constant_beyond_the_squared_float_range_keeps_its_modulus(capsys):
+    # |c|^2 = 1e-600 underflows and 1e400 overflows a float, though |c| is in
+    # range: the vanishing constant (1/10)^300 was a CollapseCertified, and
+    # norm "10^200" exited 2 on an overflow
+    code, out, _ = run(capsys, ["vanishing", "--r", "(1/10)^300", "--depth", "3"])
+    assert (code, out.strip()) == (0, "RapidDecayObserved")
+    assert run(capsys, ["norm", "10^200"]) == (0, "1e+200 (exact)\n", "")
+    assert run(capsys, ["norm", "10^400"]) == (2, "", OVERFLOW)
+
+
 def test_scale_twisted_constant_survives_an_underflowed_radius(capsys, tmp_path):
     # q = 2: lambda * 2^-k underflows to 0.0 from k = 1075, but a constant's
     # seminorm is |c| at every radius

@@ -134,6 +134,44 @@ def test_sampled_decompositions_match_probe(rng, identity_entire_spec):
             assert _random_monomial_decompositions(spec, f, w, budget) == expected
 
 
+def _rational_decompositions(spec, f, w, budget):
+    """The sampled decompositions drawn by randint and choice, with the last
+    coefficient solved by GaussianRational products and a division."""
+    rng = random.Random(budget.seed)
+    (degree, coeff), = f.coeffs.items()
+    q = spec.aut.q if spec.aut.kind == "scale" else GaussianRational.of(1)
+    sums = partial_sums(w)
+    out = []
+    for _ in range(budget.max_samples):
+        exponents = []
+        remaining = degree
+        for _ in w[1:]:
+            exponents.append(rng.randint(0, remaining))
+            remaining -= exponents[-1]
+        exponents.append(remaining)
+        coeffs = [GaussianRational.of(rng.choice(COEFF_GRID)) for _ in w]
+        product = q ** sum(p * e for p, e in zip(sums, exponents))
+        for c in coeffs[:-1]:
+            product = product * c
+        coeffs[-1] = coeff / product
+        out.append([tuple(EntirePoly({e: c}) for c, e in zip(coeffs, exponents))])
+    return out
+
+
+def test_sampled_decompositions_match_the_rational_reference(identity_entire_spec):
+    # the draws skip randint's and choice's wrappers, and c_n is one reduction
+    # of folded integer triples: the same tuples, in the same order
+    coeffs = (GaussianRational(1), GaussianRational(Fraction(-1, 3), 2), GaussianRational(0, Fraction(5, 4)))
+    for spec in _scale_specs() + [identity_entire_spec]:
+        for w in all_words(4):
+            for degree in range(5 if w else 0):
+                f = EntirePoly({degree: coeffs[(degree + len(w)) % len(coeffs)]})
+                for seed in (3, 2026):
+                    budget = SearchBudget(max_samples=12, seed=seed)
+                    expected = _rational_decompositions(spec, f, w, budget)
+                    assert _random_monomial_decompositions(spec, f, w, budget) == expected, (spec, w)
+
+
 def test_slice_quotient_norm_upper_bounds_quotient(rng, scale2_spec):
     budget = SearchBudget(max_samples=60, seed=3)
     for _ in range(25):

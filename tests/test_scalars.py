@@ -128,6 +128,17 @@ def test_abs2_and_abs(p):
     assert abs(x) == math.sqrt(float(n))
 
 
+def test_abs_outside_the_squared_float_range():
+    # where |c|^2 overflows or is subnormal, |c| is hypot(a/d, b/d)
+    assert abs(GaussianRational(10**200)) == 1e200
+    assert abs(GaussianRational(Fraction(1, 10**300))) == 1e-300
+    tiny = GaussianRational(Fraction(3, 10**170), Fraction(-4, 10**170))
+    assert abs(tiny) == math.hypot(3e-170, -4e-170)
+    assert abs(GaussianRational(10**300, 10**300)) == math.hypot(1e300, 1e300)
+    with pytest.raises(OverflowError):
+        abs(GaussianRational(10**400))
+
+
 def test_zero_has_no_inverse():
     for zero in (GaussianRational(), GaussianRational(Fraction(0), Fraction(0))):
         with pytest.raises(ZeroDivisionError):
